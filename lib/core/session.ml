@@ -17,15 +17,30 @@ let query_first t text = Engine.query_first_string t.eng text
 let succeeds t text = Engine.succeeds t.eng text
 let count t text = Engine.count_solutions t.eng text
 
-let pp_solution t ppf (s : Engine.solution) =
-  let ops = Xsb_db.Database.ops t.database in
-  let pp_term = Xsb_parse.Pretty.pp ~ops () in
+let pp_bindings pp_term ppf (s : Engine.solution) =
   if s.Engine.bindings = [] then Fmt.string ppf "true"
   else
     Fmt.pf ppf "%a"
       Fmt.(list ~sep:(any ", ") (fun ppf (n, v) -> Fmt.pf ppf "%s = %a" n pp_term v))
       s.Engine.bindings;
   if s.Engine.conditional then Fmt.string ppf " (undefined)"
+
+(* terms print with the session's current operators *)
+let term_printer t = Xsb_parse.Pretty.pp ~ops:(Xsb_db.Database.ops t.database) ()
+
+let pp_solution t ppf s = pp_bindings (term_printer t) ppf s
+
+let render_solutions t emit solutions =
+  let row = Buffer.create 128 in
+  let ppf = Format.formatter_of_buffer row in
+  let pp_term = term_printer t in
+  List.iter
+    (fun s ->
+      Buffer.clear row;
+      pp_bindings pp_term ppf s;
+      Format.pp_print_flush ppf ();
+      emit row)
+    solutions
 
 let show t text =
   match query t text with

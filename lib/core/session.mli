@@ -23,6 +23,12 @@ val count : t -> string -> int
 val pp_solution : t -> Engine.solution Fmt.t
 (** ["X = f(Y), Z = 3"]-style rendering using the session's operators. *)
 
+val render_solutions : t -> (Buffer.t -> unit) -> Engine.solution list -> unit
+(** [render_solutions t emit solutions] renders each solution exactly as
+    {!pp_solution} does, into one scratch buffer through one formatter,
+    and passes the buffer holding that row to [emit] (which must not
+    keep it: the next row overwrites it). No string is made per row. *)
+
 val show : t -> string -> unit
 (** Run a query and print its solutions, REPL-style, to stdout. *)
 

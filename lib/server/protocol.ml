@@ -185,18 +185,34 @@ let read_request ic =
 
 (* --- replies --- *)
 
-let write_reply oc reply =
-  (match reply with
+(* frames are appended to a buffer, so a whole reply — every frame one
+   request produces — can go out in one write *)
+let add_header b tag len =
+  Buffer.add_string b tag;
+  Buffer.add_char b ' ';
+  Buffer.add_string b (string_of_int len);
+  Buffer.add_char b '\n'
+
+let add_reply b = function
   | Ok_ payload ->
-      output_string oc (Printf.sprintf "OK %d\n" (String.length payload));
-      output_string oc payload
+      add_header b "OK" (String.length payload);
+      Buffer.add_string b payload
   | Answer payload ->
-      output_string oc (Printf.sprintf "ANSWER %d\n" (String.length payload));
-      output_string oc payload
-  | Done { count; more } -> output_string oc (Printf.sprintf "DONE %d %d\n" count (Bool.to_int more))
+      add_header b "ANSWER" (String.length payload);
+      Buffer.add_string b payload
+  | Done { count; more } -> Printf.bprintf b "DONE %d %d\n" count (Bool.to_int more)
   | Err (code, msg) ->
-      output_string oc (Printf.sprintf "ERR %s %d\n" (err_code_name code) (String.length msg));
-      output_string oc msg);
+      add_header b ("ERR " ^ err_code_name code) (String.length msg);
+      Buffer.add_string b msg
+
+let add_answer b row =
+  add_header b "ANSWER" (Buffer.length row);
+  Buffer.add_buffer b row
+
+let write_reply oc reply =
+  let b = Buffer.create 64 in
+  add_reply b reply;
+  Buffer.output_buffer oc b;
   flush oc
 
 let read_reply ic =

@@ -101,5 +101,16 @@ val read_request : in_channel -> request
 (** Raises {!Bad_frame} on malformed input, [End_of_file] on a cleanly
     closed peer. *)
 
+val add_reply : Buffer.t -> reply -> unit
+(** Append one reply frame's bytes to a buffer. The server renders every
+    frame of a request's reply into one buffer and writes it once. *)
+
+val add_answer : Buffer.t -> Buffer.t -> unit
+(** [add_answer b row] appends an [ANSWER] frame whose payload is the
+    contents of [row]: the bytes of [add_reply b (Answer (Buffer.contents row))]
+    without the intermediate string. *)
+
 val write_reply : out_channel -> reply -> unit
+(** Write and flush one reply frame. *)
+
 val read_reply : in_channel -> reply

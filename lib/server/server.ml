@@ -151,9 +151,9 @@ type conn = {
   c_m : Mutex.t;
   c_done : Condition.t;
   mutable c_job_done : bool;
-  (* group commit defers the ack: while [Some], replies buffer here and
-     flush only after the commit barrier says the batch is durable *)
-  mutable c_defer : Protocol.reply list option;
+  (* the reply to the request in flight: every frame is rendered here
+     and [send] writes the lot at once when the request is finished *)
+  c_reply : Buffer.t;
 }
 
 type job = {
@@ -544,21 +544,21 @@ let pred_indicator s =
       | Some arity when arity >= 0 -> Some (name, arity)
       | _ -> None)
 
-(* write a reply, tolerating a peer that vanished mid-stream: the
-   request still completes (and is logged); the handler sees EOF on its
-   next read and closes the connection *)
-let try_write conn reply =
-  match conn.c_defer with
-  | Some acc ->
-      (* deferred-ack mode: hold the reply until the commit barrier
-         confirms the batch is durable *)
-      conn.c_defer <- Some (reply :: acc);
-      true
-  | None -> (
-      try
-        Protocol.write_reply conn.c_oc reply;
-        true
-      with Sys_error _ | Unix.Unix_error _ -> false)
+(* A request's reply frames are rendered into [c_reply] while it runs
+   (under [sh_m] in durable mode: operators can change) and [send] writes
+   them in one write once it is finished — after [sh_m] is released, and
+   for a deferred mutation after its commit barrier — so a client that
+   reads slowly only ever stalls its own worker. A peer that vanished
+   mid-reply is tolerated: the request still completes (and is logged);
+   the handler sees EOF on its next read and closes the connection. *)
+let add_reply conn reply = Protocol.add_reply conn.c_reply reply
+
+let send conn =
+  (try
+     Buffer.output_buffer conn.c_oc conn.c_reply;
+     flush conn.c_oc
+   with Sys_error _ | Unix.Unix_error _ -> ());
+  Buffer.reset conn.c_reply
 
 let execute t (job : job) =
   let conn = job.j_conn in
@@ -575,7 +575,7 @@ let execute t (job : job) =
   let dispatch () =
     match req.Protocol.op with
     | Protocol.Ping ->
-        ignore (try_write conn (Protocol.Ok_ "pong"));
+        add_reply conn (Protocol.Ok_ "pong");
         ("ok", "", 0)
     | Protocol.Statistics ->
         let text = Fmt.str "%a" Xsb.Machine.pp_stats (Xsb.Engine.stats eng) in
@@ -584,10 +584,10 @@ let execute t (job : job) =
           | Some sh -> text ^ Fmt.str "%a" Xsb.Journal.pp_stats sh.sh_journal
           | None -> text
         in
-        ignore (try_write conn (Protocol.Ok_ text));
+        add_reply conn (Protocol.Ok_ text);
         ("ok", "", 0)
     | Protocol.Metrics ->
-        ignore (try_write conn (Protocol.Ok_ (metrics_text t conn)));
+        add_reply conn (Protocol.Ok_ (metrics_text t conn));
         ("ok", "", 0)
     | Protocol.Role ->
         (* failover discovery: who am I, which timeline, how far along,
@@ -629,55 +629,49 @@ let execute t (job : job) =
           (Printf.sprintf "peers: %s\n"
              (String.concat ","
                 (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) t.cfg.peers)));
-        ignore (try_write conn (Protocol.Ok_ (Buffer.contents b)));
+        add_reply conn (Protocol.Ok_ (Buffer.contents b));
         ("ok", "", 0)
     | Protocol.Promote ->
         (* handled before the shared lock (see [finishing]); reaching
            the dispatcher means there is no shared state to promote *)
-        ignore
-          (try_write conn
-             (Protocol.Err (Protocol.Bad_request, "server has no journal (start with --data-dir)")));
+        add_reply conn
+          (Protocol.Err (Protocol.Bad_request, "server has no journal (start with --data-dir)"));
         ("bad_request", "", 0)
     | Protocol.Sync -> (
         match t.shared with
         | None ->
-            ignore
-              (try_write conn
-                 (Protocol.Err
-                    (Protocol.Bad_request, "server has no journal (start with --data-dir)")));
+            add_reply conn
+              (Protocol.Err (Protocol.Bad_request, "server has no journal (start with --data-dir)"));
             ("bad_request", "", 0)
         | Some sh ->
             Xsb.Journal.sync sh.sh_journal;
-            ignore
-              (try_write conn
-                 (Protocol.Ok_
-                    (Printf.sprintf "synced %d" (Xsb.Journal.durable_bytes sh.sh_journal))));
+            add_reply conn
+              (Protocol.Ok_ (Printf.sprintf "synced %d" (Xsb.Journal.durable_bytes sh.sh_journal)));
             ("ok", "", 0))
     | Protocol.Abolish when req.Protocol.payload <> "" -> (
         match pred_indicator req.Protocol.payload with
         | None ->
-            ignore
-              (try_write conn
-                 (Protocol.Err
-                    ( Protocol.Bad_request,
-                      Printf.sprintf "bad predicate indicator %S (expected name/arity)"
-                        req.Protocol.payload )));
+            add_reply conn
+              (Protocol.Err
+                 ( Protocol.Bad_request,
+                   Printf.sprintf "bad predicate indicator %S (expected name/arity)"
+                     req.Protocol.payload ));
             ("bad_request", "", 0)
         | Some (name, arity) ->
             Xsb.Database.remove_pred (Xsb.Session.db conn.c_session) name arity;
-            ignore (try_write conn (Protocol.Ok_ "removed"));
+            add_reply conn (Protocol.Ok_ "removed");
             ("ok", Printf.sprintf "%s/%d" name arity, 0))
     | Protocol.Abolish ->
         Xsb.Engine.reset_tables eng;
-        ignore (try_write conn (Protocol.Ok_ "abolished"));
+        add_reply conn (Protocol.Ok_ "abolished");
         ("ok", "", 0)
     | Protocol.Consult -> (
         let loaded verb n =
-          ignore (try_write conn (Protocol.Ok_ (Printf.sprintf "%s %d" verb n)));
+          add_reply conn (Protocol.Ok_ (Printf.sprintf "%s %d" verb n));
           ("ok", "", n)
         in
         let parse_failed msg =
-          ignore (try_write conn (Protocol.Err (Protocol.Parse_error, msg)));
+          add_reply conn (Protocol.Err (Protocol.Parse_error, msg));
           ("parse_error", "", 0)
         in
         try
@@ -709,24 +703,22 @@ let execute t (job : job) =
               ignore (Xsb.Database.set_dynamic db name (Array.length args))
           | _ -> ());
           ignore (Xsb.Database.add_clause db clause);
-          ignore (try_write conn (Protocol.Ok_ "asserted"));
+          add_reply conn (Protocol.Ok_ "asserted");
           let head, _ = Xsb.Database.clause_parts clause in
           ("ok", pred_of_goal head, 0)
         with
         | Xsb.Parser.Error (msg, pos) | Xsb.Lexer.Error (msg, pos) ->
-            ignore
-              (try_write conn
-                 (Protocol.Err (Protocol.Parse_error, Printf.sprintf "syntax error at %d: %s" pos msg)));
+            add_reply conn
+              (Protocol.Err (Protocol.Parse_error, Printf.sprintf "syntax error at %d: %s" pos msg));
             ("parse_error", "", 0)
         | Failure msg ->
-            ignore (try_write conn (Protocol.Err (Protocol.Parse_error, msg)));
+            add_reply conn (Protocol.Err (Protocol.Parse_error, msg));
             ("parse_error", "", 0))
     | Protocol.Query -> (
         match parse_goal req.Protocol.payload with
         | exception (Xsb.Parser.Error (msg, pos) | Xsb.Lexer.Error (msg, pos)) ->
-            ignore
-              (try_write conn
-                 (Protocol.Err (Protocol.Parse_error, Printf.sprintf "syntax error at %d: %s" pos msg)));
+            add_reply conn
+              (Protocol.Err (Protocol.Parse_error, Printf.sprintf "syntax error at %d: %s" pos msg));
             ("parse_error", "", 0)
         | goal -> (
             let pred = pred_of_goal goal in
@@ -735,7 +727,7 @@ let execute t (job : job) =
             in
             if deadline_passed () then begin
               (* spent its whole deadline waiting in the queue *)
-              ignore (try_write conn (Protocol.Err (Protocol.Timeout, "deadline exceeded in queue")));
+              add_reply conn (Protocol.Err (Protocol.Timeout, "deadline exceeded in queue"));
               ("timeout", pred, 0)
             end
             else begin
@@ -750,11 +742,9 @@ let execute t (job : job) =
                 | _ -> t.cfg.max_answers
               in
               let stream_answers solutions =
-                List.fold_left
-                  (fun n s ->
-                    let text = Fmt.str "%a" (Xsb.Session.pp_solution conn.c_session) s in
-                    if try_write conn (Protocol.Answer text) then n + 1 else n)
-                  0 solutions
+                Xsb.Session.render_solutions conn.c_session (Protocol.add_answer conn.c_reply)
+                  solutions;
+                List.length solutions
               in
               match
                 Xsb.Engine.run_bounded
@@ -765,7 +755,7 @@ let execute t (job : job) =
               with
               | `Answers solutions ->
                   let n = stream_answers solutions in
-                  ignore (try_write conn (Protocol.Done { count = n; more = false }));
+                  add_reply conn (Protocol.Done { count = n; more = false });
                   ("ok", pred, n)
               | `Truncated solutions ->
                   (* the stop poll can overshoot by a few answers; hold
@@ -774,23 +764,23 @@ let execute t (job : job) =
                     if limit > 0 then List.filteri (fun i _ -> i < limit) solutions else solutions
                   in
                   let n = stream_answers solutions in
-                  ignore (try_write conn (Protocol.Done { count = n; more = true }));
+                  add_reply conn (Protocol.Done { count = n; more = true });
                   ("truncated", pred, n)
               | `Timeout solutions ->
                   let n = stream_answers solutions in
                   let reason = if deadline_passed () then "deadline exceeded" else "step budget exhausted" in
-                  ignore (try_write conn (Protocol.Err (Protocol.Timeout, reason)));
+                  add_reply conn (Protocol.Err (Protocol.Timeout, reason));
                   ("timeout", pred, n)
               | exception Xsb.Machine.Step_limit ->
                   (* an engine-wide set_max_steps bound, not ours *)
-                  ignore (try_write conn (Protocol.Err (Protocol.Timeout, "engine step limit")));
+                  add_reply conn (Protocol.Err (Protocol.Timeout, "engine step limit"));
                   ("timeout", pred, 0)
               | exception (Xsb.Journal.Io_error _ as e) ->
                   (* an assert/1 inside the query hit the dead journal;
                      let the read-only degradation below handle it *)
                   raise e
               | exception e ->
-                  ignore (try_write conn (Protocol.Err (Protocol.Exec_error, Printexc.to_string e)));
+                  add_reply conn (Protocol.Err (Protocol.Exec_error, Printexc.to_string e));
                   ("exec_error", pred, 0)
             end))
   in
@@ -803,7 +793,7 @@ let execute t (job : job) =
         false
   in
   let refuse_readonly reason =
-    ignore (try_write conn (Protocol.Err (Protocol.Readonly, "server is read-only: " ^ reason)));
+    add_reply conn (Protocol.Err (Protocol.Readonly, "server is read-only: " ^ reason));
     ("readonly", "", 0)
   in
   let finishing =
@@ -818,7 +808,7 @@ let execute t (job : job) =
           | Protocol.Err (Protocol.Exec_error, _) -> "exec_error"
           | _ -> "bad_request"
         in
-        ignore (try_write conn reply);
+        add_reply conn reply;
         (outcome, "", 0)
     | _ -> (
         match t.shared with
@@ -830,10 +820,10 @@ let execute t (job : job) =
                 (* Under a group-commit policy a mutation's ack must not
                    leave before its batch's fsync — but the fsync wait
                    must happen OUTSIDE the session lock, or batches
-                   could never span connections. So: buffer the replies,
-                   run the mutation (the journal hook only enqueues),
-                   release [sh_m], then block on the commit barrier and
-                   flush the ack. *)
+                   could never span connections. So: run the mutation
+                   (the journal hook only enqueues), release [sh_m],
+                   then block on the commit barrier; the buffered ack
+                   is sent after it. *)
                 (* semi-synchronous commit rides the same deferred-ack
                    machinery as group commit: the reply waits behind the
                    local fsync barrier AND K standby acks *)
@@ -843,9 +833,10 @@ let execute t (job : job) =
                   && ((match t.cfg.sync with Xsb.Journal.Group _ -> true | _ -> false)
                      || semi_sync)
                 in
-                if defer then conn.c_defer <- Some [];
                 let degrade site message =
-                  conn.c_defer <- None;
+                  (* withdraw whatever was buffered: the ack never
+                     became durable *)
+                  Buffer.clear conn.c_reply;
                   (* the disk write path is gone; keep serving reads *)
                   let reason = Printf.sprintf "journal write failed at %s: %s" site message in
                   sh.sh_read_only <- Some reason;
@@ -869,18 +860,17 @@ let execute t (job : job) =
                                    ~gen:g ~off:o
                                    ~timeout_s:(float_of_int t.cfg.sync_timeout_ms /. 1000.0))
                           | _ -> ());
-                          let held = List.rev (Option.value conn.c_defer ~default:[]) in
-                          conn.c_defer <- None;
-                          List.iter (fun reply -> ignore (try_write conn reply)) held;
                           finishing
                       | exception Xsb.Journal.Io_error { site; message } ->
-                          (* the batch never became durable: withdraw
-                             the buffered ack and report the demotion *)
+                          (* the batch never became durable: report the
+                             demotion instead of the ack *)
                           degrade site message
                     end
                     else finishing
                 | exception Xsb.Journal.Io_error { site; message } -> degrade site message)))
   in
+  (* the reply goes out only now: outside [sh_m], after any commit barrier *)
+  send conn;
   let outcome, pred, answers = finishing in
   let wall = !monotonic () -. t0 in
   let steps = engine_steps conn - steps0 in
@@ -930,9 +920,9 @@ let execute_safe t job =
   Atomic.incr t.in_flight;
   (try Fun.protect ~finally:(fun () -> Atomic.decr t.in_flight) (fun () -> execute t job)
    with e ->
-     ignore
-       (try_write job.j_conn
-          (Protocol.Err (Protocol.Exec_error, "internal error: " ^ Printexc.to_string e)));
+     add_reply job.j_conn
+       (Protocol.Err (Protocol.Exec_error, "internal error: " ^ Printexc.to_string e));
+     send job.j_conn;
      log_request t ~id:job.j_id ~conn_id:job.j_conn.c_id
        ~op:(Protocol.op_name job.j_req.Protocol.op)
        ~pred:"" ~answers:0 ~steps:0
@@ -969,7 +959,8 @@ let close_conn t conn =
   Mutex.unlock t.conns_m
 
 let refuse t conn req code msg outcome =
-  ignore (try_write conn (Protocol.Err (code, msg)));
+  add_reply conn (Protocol.Err (code, msg));
+  send conn;
   log_request t
     ~id:(Atomic.fetch_and_add t.req_counter 1 + 1)
     ~conn_id:conn.c_id
@@ -982,7 +973,8 @@ let handler_loop t conn =
     | exception End_of_file -> ()
     | exception Protocol.Bad_frame msg ->
         (* framing is broken: reply if possible, then drop the link *)
-        ignore (try_write conn (Protocol.Err (Protocol.Bad_request, msg)));
+        add_reply conn (Protocol.Err (Protocol.Bad_request, msg));
+        send conn;
         log_request t
           ~id:(Atomic.fetch_and_add t.req_counter 1 + 1)
           ~conn_id:conn.c_id ~op:"?" ~pred:"" ~answers:0 ~steps:0 ~wall:0.0 ~outcome:"bad_request"
@@ -1043,7 +1035,7 @@ let make_conn t fd =
     c_m = Mutex.create ();
     c_done = Condition.create ();
     c_job_done = true;
-    c_defer = None;
+    c_reply = Buffer.create 4096;
   }
 
 let acceptor_loop t =

@@ -30,23 +30,77 @@ type solution = {
 let var_name fallback v =
   match v.Term.vname with Some n -> n | None -> Printf.sprintf "_%s%d" fallback v.Term.vid
 
-(* Run [goal] to completion (or first answer / answer limit / external
-   stop / step budget) against a fresh, private query table, then read
-   the answers back out of table space.
+(* A query's bounds: an answer limit, an external stop, and whether a
+   [Step_limit] is this query's own step budget running out. *)
+type bounds = { limit : int option; stop : (unit -> bool) option; budget_binding : bool }
 
-   Returns the solutions found together with how the evaluation ended:
-   [`Complete] (fixpoint reached), [`Limit] (the answer limit was hit),
-   or [`Interrupted] (the [stop] callback fired, or the step budget ran
-   out mid-derivation). In every case the private query table is
-   dropped and the trail restored, so table space stays consistent for
-   the next query on the same engine. *)
-let run_query_bounded ?limit ?stop ?max_steps t goal =
-  let goal = Database.encode t.database goal in
-  (* stale incremental tables are repaired before the query reads them;
-     runs under the engine-wide step bound, not this query's budget *)
-  Machine.repair_stale t.env;
-  let vars = Term.vars goal in
-  let names = List.map (var_name "G") vars in
+let limit_hit b count = match b.limit with Some n -> count >= n | None -> false
+let stop_hit b = match b.stop with Some f -> f () | None -> false
+
+(* How a query that found [count] answers ended: [`Complete] (fixpoint
+   reached), [`Limit] (the answer limit was hit) or [`Interrupted] (the
+   [stop] callback fired; a step budget running out is [`Interrupted]
+   too). *)
+let ending b count =
+  if limit_hit b count then `Limit else if stop_hit b then `Interrupted else `Complete
+
+(* The solutions of [goal] read straight out of its completed variant
+   table [sub] (see [Machine.completed_call]): no query table, and no
+   answer is canonicalized or inserted again. Every answer is an
+   instance of the table's key, whose i-th variable is the goal's i-th
+   variable in [names] order (both number variables by first
+   occurrence), so one walk of the key against an answer finds every
+   binding; the binding tuple is converted as one term, so the fresh
+   variables of a non-ground answer are shared across its bindings.
+
+   Steps are charged as the query-table path charges them — one for the
+   call, one per answer — so a step budget interrupts after the same
+   rows; [limit] and [stop] are checked before each answer, as the
+   scheduler checks them between answers. *)
+let read_completed b t goal names sub =
+  let env = t.env in
+  let key = sub.Machine.skey in
+  let nvars = List.length names in
+  let solution (a : Machine.answer) =
+    let slots = Array.make nvars key in
+    let rec bind k x =
+      match (k, x) with
+      | Canon.CVar i, _ -> slots.(i) <- x
+      | Canon.CStruct (_, ks), Canon.CStruct (_, xs) ->
+          for j = 0 to Array.length ks - 1 do
+            bind ks.(j) xs.(j)
+          done
+      | _ -> ()
+    in
+    bind key a.Machine.a_template;
+    let args =
+      match Canon.to_term (Canon.CStruct ("", slots)) with
+      | Term.Struct (_, args) -> Array.to_list args
+      | _ -> []
+    in
+    { bindings = List.combine names args; conditional = false; delays = [] }
+  in
+  let n = Machine.answer_count sub in
+  let found = ref [] and count = ref 0 in
+  let ending =
+    match
+      Machine.note_call env ~depth:0 sub.Machine.s_pred goal;
+      Machine.step env;
+      while !count < n && (not (limit_hit b !count)) && not (stop_hit b) do
+        Machine.step env;
+        found := solution (Xsb_index.Answer_store.Index.get sub.Machine.s_store !count) :: !found;
+        incr count
+      done
+    with
+    | () -> ending b !count
+    | exception Machine.Step_limit when b.budget_binding -> `Interrupted
+  in
+  (List.rev !found, ending)
+
+(* Evaluate [goal] against a fresh, private query table, then read the
+   answers back out of table space. The query table is always dropped
+   and the trail restored, whatever the ending. *)
+let eval_query b t goal names vars =
   t.query_counter <- t.query_counter + 1;
   let functor_name = Printf.sprintf "$query%d" t.query_counter in
   let template = Term.struct_ functor_name (Array.of_list (List.map (fun v -> Term.Var v) vars)) in
@@ -61,45 +115,24 @@ let run_query_bounded ?limit ?stop ?max_steps t goal =
          r_skip_first = false;
          r_extra_delay = None;
        });
-  let limit_hit () = match limit with Some n -> Machine.answer_count qsub >= n | None -> false in
-  let stop_hit () = match stop with Some f -> f () | None -> false in
   let stop_fn =
-    match (limit, stop) with
+    match (b.limit, b.stop) with
     | None, None -> None
-    | _ -> Some (fun () -> limit_hit () || stop_hit ())
-  in
-  (* a per-query step budget, relative to the engine's running step
-     counter. Install it only when it is the binding bound: if a tighter
-     engine-wide [set_max_steps] bound is already in place (or no usable
-     budget was given), a [Step_limit] overrun is the engine-wide
-     bound's and must keep raising, not be reported as `Interrupted. *)
-  let saved_max = t.env.Machine.max_steps in
-  let budget_binding =
-    match max_steps with
-    | Some budget when budget > 0 ->
-        let absolute = t.env.Machine.stats.Machine.st_steps + budget in
-        if saved_max > 0 && saved_max <= absolute then false
-        else begin
-          t.env.Machine.max_steps <- absolute;
-          true
-        end
-    | _ -> false
+    | _ -> Some (fun () -> limit_hit b (Machine.answer_count qsub) || stop_hit b)
   in
   let trail_mark = Xsb_term.Trail.mark t.env.Machine.trail in
   let finish () =
     (* never leave in-progress tables behind: they would block later
-       queries; the private query table is always dropped. A stopped
-       evaluation may have been interrupted mid-derivation, so restore
-       the trail too. *)
-    t.env.Machine.max_steps <- saved_max;
+       queries. A stopped evaluation may have been interrupted
+       mid-derivation, so restore the trail too. *)
     Xsb_term.Trail.undo_to t.env.Machine.trail trail_mark;
     Machine.abandon_eval ev;
     Machine.delete_table t.env qsub
   in
   let ending =
     match Machine.run_eval ?stop:stop_fn ev with
-    | () -> if limit_hit () then `Limit else if stop_hit () then `Interrupted else `Complete
-    | exception Machine.Step_limit when budget_binding -> `Interrupted
+    | () -> ending b (Machine.answer_count qsub)
+    | exception Machine.Step_limit when b.budget_binding -> `Interrupted
     | exception e ->
         finish ();
         raise e
@@ -124,6 +157,43 @@ let run_query_bounded ?limit ?stop ?max_steps t goal =
   in
   finish ();
   (solutions, ending)
+
+(* Run [goal] to completion (or first answer / answer limit / external
+   stop / step budget) and return the solutions found together with how
+   the evaluation ended (see [ending]). A goal that is one call of a
+   tabled predicate whose variant table is complete is read from that
+   table; any other goal is evaluated through a private query table. *)
+let run_query_bounded ?limit ?stop ?max_steps t goal =
+  let goal = Database.encode t.database goal in
+  (* stale incremental tables are repaired before the query reads them;
+     runs under the engine-wide step bound, not this query's budget *)
+  Machine.repair_stale t.env;
+  let vars = Term.vars goal in
+  let names = List.map (var_name "G") vars in
+  (* a per-query step budget, relative to the engine's running step
+     counter. Install it only when it is the binding bound: if a tighter
+     engine-wide [set_max_steps] bound is already in place (or no usable
+     budget was given), a [Step_limit] overrun is the engine-wide
+     bound's and must keep raising, not be reported as `Interrupted. *)
+  let saved_max = t.env.Machine.max_steps in
+  let budget_binding =
+    match max_steps with
+    | Some budget when budget > 0 ->
+        let absolute = t.env.Machine.stats.Machine.st_steps + budget in
+        if saved_max > 0 && saved_max <= absolute then false
+        else begin
+          t.env.Machine.max_steps <- absolute;
+          true
+        end
+    | _ -> false
+  in
+  let b = { limit; stop; budget_binding } in
+  Fun.protect
+    ~finally:(fun () -> t.env.Machine.max_steps <- saved_max)
+    (fun () ->
+      match Machine.completed_call t.env goal with
+      | Some sub -> read_completed b t goal names sub
+      | None -> eval_query b t goal names vars)
 
 let run_query ?(first = false) t goal =
   fst (run_query_bounded ?limit:(if first then Some 1 else None) t goal)

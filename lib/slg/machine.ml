@@ -412,6 +412,14 @@ let key_str key = Term.to_string (Canon.to_term key)
 let metrics_on env = Obs.Metrics.enabled env.metrics
 let mcell env key = Obs.Metrics.cell env.metrics key
 
+(* a predicate call: the profile's call count and the Call event *)
+let note_call env ~depth pred goal =
+  if metrics_on env then begin
+    let c = mcell env pred in
+    c.Obs.Metrics.m_calls <- c.Obs.Metrics.m_calls + 1
+  end;
+  if obs_on env then emit_goal env ~depth pred Obs.Event.Call (Term.to_string goal)
+
 (* ------------------------------------------------------------------ *)
 (* Snapshots: a suspended derivation copied to table space. *)
 
@@ -806,6 +814,46 @@ let is_tabled env goal =
   &&
   let name, arity = pred_key_of goal in
   match Database.find env.db name arity with Some p -> Pred.tabled p | None -> false
+
+(* Whether [solve] hands [goal] to [solve_call]: the control constructs
+   and builtins that [solve_atom] and [solve_struct] dispatch first never
+   reach a user predicate, tabled or not. *)
+let reaches_call goal =
+  match Term.deref goal with
+  | Term.Atom
+      ( "true" | "fail" | "false" | "!" | "tcut" | "nl" | "listing" | "statistics"
+      | "table_dump" | "profile" | "halt" | "abolish_all_tables" | "$found$" | "$collect$"
+      | "table_all" ) ->
+      false
+  | Term.Atom _ -> true
+  | Term.Struct (name, args) -> (
+      match (name, Array.length args) with
+      | ("," | ";" | "->"), 2
+      | ("$endscope" | "\\+" | "not" | "tnot" | "e_tnot" | "throw"), 1
+      | "catch", 3
+      | ("findall" | "tfindall" | "bagof" | "setof"), 3
+      | "statistics", 1
+      | "get_calls", 1
+      | "get_returns", 2 ->
+          false
+      | ("call" | "table" | "dynamic" | "hilog" | "index" | "op"), _ -> false
+      | _, arity -> Builtins.lookup name arity = None)
+  | Term.Int _ | Term.Float _ | Term.Var _ -> false
+
+(* The table a query that is exactly one tabled call can read its
+   answers from directly: its variant table, complete and not stale, not
+   answer-subsumptive, and holding unconditional answers only — so every
+   answer is final and is one solution of the query. Anything else is
+   [None] and evaluates through a query table. *)
+let completed_call env goal =
+  if not (reaches_call goal && is_tabled env goal) then None
+  else
+    match find_table env (Canon.of_term goal) with
+    | Some sub
+      when sub.s_state = Complete && (not sub.s_stale) && (not (is_subsumptive sub))
+           && answer_count sub = Canon.Tbl.length sub.s_uncond ->
+        Some sub
+    | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Table-space introspection (ISSUE PR 3): the builtins statistics/1,
@@ -1216,12 +1264,7 @@ and solve_findall ev ~det ~owner ~template ~delays ~barrier ~tabled_wait ?(requi
 and solve_call ev ~det ~owner ~template ~delays ~barrier goal rest =
   let env = ev.e_env in
   let key = pred_key_of goal in
-  if metrics_on env then begin
-    let c = mcell env key in
-    c.Obs.Metrics.m_calls <- c.Obs.Metrics.m_calls + 1
-  end;
-  if obs_on env then
-    emit_goal env ~depth:ev.e_depth key Obs.Event.Call (Term.to_string goal);
+  note_call env ~depth:ev.e_depth key goal;
   match Database.find env.db (fst key) (snd key) with
   | None -> ()  (* unknown predicate: fails, as an empty relation *)
   | Some pred ->

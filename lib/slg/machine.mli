@@ -228,6 +228,21 @@ val iter_answers : (answer -> unit) -> subgoal -> unit
 
 val fold_answers : ('a -> answer -> 'a) -> 'a -> subgoal -> 'a
 
+val completed_call : env -> Term.t -> subgoal option
+(** The table a query that is exactly one tabled call can read its
+    answers from directly: the call's variant table, if it is complete,
+    not stale, not answer-subsumptive, and holds unconditional answers
+    only. [None] for every other goal (conjunctions, control constructs,
+    builtins, call-subsumption hits, incomplete or conditional tables). *)
+
+val note_call : env -> depth:int -> string * int -> Term.t -> unit
+(** Count a call of the predicate in the profile ([m_calls]) and emit
+    its [Call] trace event, as every evaluated predicate call does. *)
+
+val step : env -> unit
+(** Charge one evaluation step; raises {!Step_limit} once [max_steps]
+    (when positive) is exceeded. *)
+
 (** {1 Table-space memory accounting}
 
     Estimated bytes on the {!Canon.size_bytes} model: answer tries

@@ -66,14 +66,21 @@ let variant t u =
   in
   go t u
 
-let instance_of trail ~instance ~general =
+let instance_of _trail ~instance ~general =
+  (* a variable of [general] takes the instance subterm it meets first,
+     and every later occurrence must meet an equal subterm. The
+     assignments are kept aside rather than bound: a binding would let a
+     later occurrence dereference into [instance] and then bind one of
+     the instance's own variables *)
+  let assigned = Hashtbl.create 8 in
   let rec go general instance =
-    let general = deref general and instance = deref instance in
-    match (general, instance) with
-    | Var v, Var w when v == w -> true
-    | Var v, instance ->
-        bind trail v instance;
-        true
+    match (deref general, deref instance) with
+    | Var v, instance -> (
+        match Hashtbl.find_opt assigned v.vid with
+        | Some t -> Term.equal t instance
+        | None ->
+            Hashtbl.add assigned v.vid instance;
+            true)
     | _, Var _ -> false
     | Atom a, Atom b -> String.equal a b
     | Int i, Int j -> Int.equal i j
@@ -86,7 +93,4 @@ let instance_of trail ~instance ~general =
         all 0
     | _ -> false
   in
-  let m = Trail.mark trail in
-  let ok = go general instance in
-  Trail.undo_to trail m;
-  ok
+  go general instance

@@ -11,6 +11,6 @@ val variant : Term.t -> Term.t -> bool
     not bind anything. *)
 
 val instance_of : Trail.t -> instance:Term.t -> general:Term.t -> bool
-(** One-sided matching: true when [instance] is an instance of [general].
-    Bindings (only of [general]'s variables) are undone before
-    returning. *)
+(** One-sided matching: true when [instance] is an instance of [general]
+    (a substitution for [general]'s variables alone makes them equal).
+    Binds nothing; the trail is not used. *)

@@ -297,6 +297,59 @@ let incremental_differential =
              check (Printf.sprintf "after %s%s" (if add then "+" else "-") text))
            ops)
 
+(* --- completed tables answer directly: once a query has completed its
+   tables, re-running a single tabled call [G] reads the answers straight
+   out of the table, while [(G, true)] — a conjunction — still evaluates
+   through a query table. The two must give the same solutions in the
+   same order, with the same binding names. --- *)
+
+let solution_rows sols =
+  List.map
+    (fun (sol : Engine.solution) ->
+      ( List.map (fun (n, v) -> (n, Term.to_string v)) sol.Engine.bindings,
+        sol.Engine.conditional ))
+    sols
+
+let completed_read_differential =
+  QCheck2.Test.make ~count:(runs / 2) ~name:"completed-table reads = query-table evaluation"
+    ~print:Generators.datalog_text Generators.datalog_program_gen (fun dp ->
+      let text = Generators.datalog_text dp in
+      let heads =
+        List.sort_uniq compare (List.map (fun r -> r.Generators.dr_head) dp.Generators.dp_rules)
+      in
+      List.for_all
+        (fun (directive, scheduling) ->
+          let s = Session.create ~scheduling () in
+          Session.consult s (directive ^ text);
+          List.for_all
+            (fun h ->
+              List.for_all
+                (fun args ->
+                  let goal = h ^ args in
+                  ignore (Session.query s goal);
+                  let direct =
+                    Machine.completed_call (Engine.env (Session.engine s)) (Parser.term_of_string goal)
+                    <> None
+                  in
+                  let subgoals0 = (Session.stats s).Machine.st_subgoals in
+                  let g = solution_rows (Session.query s goal) in
+                  let created = (Session.stats s).Machine.st_subgoals - subgoals0 in
+                  let oracle = solution_rows (Session.query s ("(" ^ goal ^ ", true)")) in
+                  (g = oracle
+                  || QCheck2.Test.fail_reportf "%s and (%s, true) disagree (%s):@.%s" goal goal
+                       (Machine.scheduling_to_string scheduling)
+                       text)
+                  && ((not direct) || created = 0
+                     || QCheck2.Test.fail_reportf "%s read a completed table but created %d tables"
+                          goal created))
+                [ "(X,Y)"; "(2,X)"; "(X,3)"; "(2,3)"; "(A,A)" ])
+            heads)
+        [
+          (table_directive, Machine.Local);
+          (table_directive, Machine.Batched);
+          (subsumption_directive, Machine.Local);
+        ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest datalog_differential;
@@ -317,4 +370,5 @@ let suite =
          "stratified tnot = WFS under call subsumption (batched)");
     QCheck_alcotest.to_alcotest wfs_differential;
     QCheck_alcotest.to_alcotest incremental_differential;
+    QCheck_alcotest.to_alcotest completed_read_differential;
   ]

@@ -53,8 +53,9 @@ let cases =
         let before = (Engine.stats (Session.engine s)).Machine.st_subgoals in
         ignore (Session.query s "path(1,Y)");
         let after = (Engine.stats (Session.engine s)).Machine.st_subgoals in
-        (* the second query only creates its private query table *)
-        check_int "one new subgoal" (before + 1) after);
+        (* the second query reads the completed table directly: no new
+           table, not even a private query table *)
+        check_int "no new subgoal" before after);
     t "tabling avoids exponential recomputation" `Quick (fun () ->
         (* fib without tabling is exponential; tabled it is linear *)
         let s =
@@ -714,3 +715,182 @@ let scheduler_and_stats_cases =
   ]
 
 let suite = suite @ scheduler_and_stats_cases
+
+(* --- a query that is one call of a completed table reads its answers
+   directly (Machine.completed_call); a conjunction [(G, true)] still
+   runs through a query table and serves as the oracle --- *)
+
+let rows sols =
+  List.map
+    (fun (sol : Engine.solution) ->
+      ( List.map (fun (n, v) -> (n, Term.to_string v)) sol.Engine.bindings,
+        sol.Engine.conditional ))
+    sols
+
+let direct s goal = Machine.completed_call (Engine.env (Session.engine s)) (Parser.term_of_string goal) <> None
+
+let subgoals s = (Session.stats s).Machine.st_subgoals
+
+let bounded_rows = function
+  | `Answers l -> (`Answers, rows l)
+  | `Truncated l -> (`Truncated, rows l)
+  | `Timeout l -> (`Timeout, rows l)
+
+let completed_read_cases =
+  [
+    t "non-ground answers keep their shared variables" `Quick (fun () ->
+        let s = session ":- table p/3.\np(X, f(X, Y), Y).\np(1, f(1, Z), g(Z))." in
+        let cold = Session.query s "p(A,B,C)" in
+        check_bool "table complete" true (direct s "p(A,B,C)");
+        let warm = Session.query s "p(A,B,C)" in
+        let oracle = Session.query s "(p(A,B,C), true)" in
+        (* variables are fresh per answer, so compare up to renaming: one
+           canonical tuple per solution, taken across all its bindings *)
+        let shape sols =
+          List.map
+            (fun (sol : Engine.solution) ->
+              ( List.map fst sol.Engine.bindings,
+                Canon.of_term (Term.app "t" (List.map snd sol.Engine.bindings)) ))
+            sols
+        in
+        check_bool "same as the cold query" true (shape warm = shape cold);
+        check_bool "same as the query-table path" true (shape warm = shape oracle);
+        match warm with
+        | [ first; second ] -> (
+            (match List.map (fun (_, v) -> Term.deref v) first.Engine.bindings with
+            | [ Term.Var a; Term.Struct ("f", [| x; y |]); Term.Var c ] ->
+                (match (Term.deref x, Term.deref y) with
+                | Term.Var a', Term.Var c' ->
+                    check_bool "A is the variable inside B" true (a == a');
+                    check_bool "C is the other variable inside B" true (c == c');
+                    check_bool "A and C differ" true (a != c)
+                | _ -> Alcotest.fail "f/2 arguments should be variables")
+            | _ -> Alcotest.fail "unexpected first solution");
+            match List.map (fun (_, v) -> Term.deref v) second.Engine.bindings with
+            | [ Term.Int 1; Term.Struct ("f", [| _; z |]); Term.Struct ("g", [| z' |]) ] -> (
+                match (Term.deref z, Term.deref z') with
+                | Term.Var z, Term.Var z' -> check_bool "Z shared between B and C" true (z == z')
+                | _ -> Alcotest.fail "Z should be a variable")
+            | _ -> Alcotest.fail "unexpected second solution")
+        | _ -> Alcotest.fail "expected two solutions");
+    t "a repeated goal variable reads the matching table" `Quick (fun () ->
+        let s = session (tc_program (cycle 4 @ [ (2, 2) ])) in
+        ignore (Session.query s "path(X,X)");
+        check_bool "direct" true (direct s "path(X,X)");
+        let before = subgoals s in
+        let warm = rows (Session.query s "path(X,X)") in
+        check_int "no table created" before (subgoals s);
+        check_int "every node is on the cycle" 4 (List.length warm);
+        check_bool "same as the query-table path" true
+          (warm = rows (Session.query s "(path(X,X), true)")));
+    t "limit= truncates exactly as the query-table path" `Quick (fun () ->
+        let s = session (tc_program (cycle 6)) in
+        let eng = Session.engine s in
+        let all = rows (Session.query s "path(1,X)") in
+        check_int "six answers" 6 (List.length all);
+        List.iter
+          (fun limit ->
+            let got = bounded_rows (Engine.run_bounded_string ~limit eng "path(1,X)") in
+            let oracle = bounded_rows (Engine.run_bounded_string ~limit eng "(path(1,X), true)") in
+            check_bool (Printf.sprintf "limit %d = oracle" limit) true (got = oracle);
+            let ending, got_rows = got in
+            check_int (Printf.sprintf "limit %d rows" limit) (min limit 6) (List.length got_rows);
+            check_bool (Printf.sprintf "limit %d more flag" limit) (limit <= 6) (ending = `Truncated))
+          [ 1; 2; 6; 7 ]);
+    t "a step budget gives TIMEOUT with the same partial rows" `Quick (fun () ->
+        let s = session (tc_program (cycle 8)) in
+        let eng = Session.engine s in
+        let all = rows (Session.query s "path(1,X)") in
+        let steps0 = (Session.stats s).Machine.st_steps in
+        ignore (Session.query s "path(1,X)");
+        (* the query-table path charged one step for the call and one
+           per answer; a completed-table read charges the same *)
+        check_int "steps of a full read" 9 ((Session.stats s).Machine.st_steps - steps0);
+        List.iter
+          (fun budget ->
+            match Engine.run_bounded_string ~max_steps:budget eng "path(1,X)" with
+            | `Timeout sols ->
+                check_bool
+                  (Printf.sprintf "budget %d keeps %d rows" budget (budget - 1))
+                  true
+                  (rows sols = List.filteri (fun i _ -> i < budget - 1) all)
+            | _ -> Alcotest.failf "budget %d: expected a timeout" budget)
+          [ 1; 2; 5; 8 ];
+        match Engine.run_bounded_string ~max_steps:9 eng "path(1,X)" with
+        | `Answers sols -> check_bool "budget 9 suffices" true (rows sols = all)
+        | _ -> Alcotest.fail "budget 9: expected every answer");
+    t "a stale incremental table is repaired before it is read" `Quick (fun () ->
+        let s =
+          session
+            ":- table reach/2 as incremental.\n\
+             :- dynamic edge/2.\n\
+             reach(X,Y) :- edge(X,Y).\n\
+             reach(X,Z) :- reach(X,Y), edge(Y,Z).\n\
+             edge(1,2). edge(2,3)."
+        in
+        check_int "cold" 2 (Session.count s "reach(1,X)");
+        check_bool "asserted" true (Session.succeeds s "assert(edge(3,4))");
+        let before = subgoals s in
+        let warm = rows (Session.query s "reach(1,X)") in
+        check_int "repaired once" 1 (Session.stats s).Machine.st_repairs;
+        check_int "repaired in place, read directly" before (subgoals s);
+        check_int "the new answer is there" 3 (List.length warm);
+        check_bool "same as the query-table path" true
+          (warm = rows (Session.query s "(reach(1,X), true)")));
+    t "conditional answers fall back to the query-table path" `Quick (fun () ->
+        let s = Session.create ~mode:Machine.Well_founded () in
+        Session.consult s
+          ":- table p/0, q/0, r/1.\np :- tnot(q).\nq :- tnot(p).\nr(1) :- p.\nr(2).";
+        let cold = rows (Session.query s "r(X)") in
+        check_bool "one undefined answer" true (List.exists snd cold);
+        check_bool "not read directly" false (direct s "r(X)");
+        let before = subgoals s in
+        let warm = rows (Session.query s "r(X)") in
+        check_int "a query table was made" (before + 1) (subgoals s);
+        check_bool "same solutions" true (warm = cold);
+        check_bool "same as the conjunction" true (warm = rows (Session.query s "(r(X), true)")));
+    t "subsumptive(min) tables fall back to the query-table path" `Quick (fun () ->
+        let s =
+          session
+            ":- table sp/3 as subsumptive(min).\n\
+             sp(X,Y,C) :- e(X,Y,C).\n\
+             sp(X,Z,C) :- sp(X,Y,C1), e(Y,Z,C2), C is C1 + C2.\n\
+             e(a,b,3). e(a,b,1). e(b,c,2). e(a,c,9)."
+        in
+        let cold = rows (Session.query s "sp(a,X,C)") in
+        check_bool "not read directly" false (direct s "sp(a,X,C)");
+        let before = subgoals s in
+        let warm = rows (Session.query s "sp(a,X,C)") in
+        check_int "a query table was made" (before + 1) (subgoals s);
+        check_bool "same solutions" true (warm = cold);
+        check_bool "minimal costs" true
+          (List.sort compare warm
+          = [ ([ ("X", "b"); ("C", "1") ], false); ([ ("X", "c"); ("C", "3") ], false) ]));
+    t "a builtin's goal is not read from a same-named table" `Quick (fun () ->
+        (* tnot/1 evaluates the user's tabled length/2 into a table, but
+           a plain length(a,1) goal still runs the builtin *)
+        let s = session ":- table length/2.\nlength(a, 1)." in
+        check_bool "tnot saw the table's answer" false (Session.succeeds s "tnot(length(a,1))");
+        check_bool "not read directly" false (direct s "length(a,1)");
+        match Session.query s "length(a,1)" with
+        | exception Machine.Prolog_ball _ -> ()
+        | _ -> Alcotest.fail "expected the builtin's type error");
+    t "--profile still counts warm queries, and traces their call" `Quick (fun () ->
+        let s = session (tc_program (cycle 4)) in
+        let eng = Session.engine s in
+        Session.set_profiling s true;
+        ignore (Session.query s "path(1,X)");
+        let calls = Engine.call_count eng "path" 2 in
+        let ring = Obs.Ring.create 64 in
+        Session.add_sink s (Obs.Sink.Ring ring);
+        ignore (Session.query s "path(1,X)");
+        Session.clear_sinks s;
+        check_int "one more call" (calls + 1) (Engine.call_count eng "path" 2);
+        match Obs.Ring.to_list ring with
+        | [ (e : Obs.Event.t) ] ->
+            check_bool "a Call event" true (e.kind = Obs.Event.Call);
+            check_bool "for path/2" true (e.pred = "path/2")
+        | events -> Alcotest.failf "expected one Call event, got %d events" (List.length events));
+  ]
+
+let suite = suite @ completed_read_cases

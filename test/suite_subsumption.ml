@@ -84,9 +84,10 @@ let late_consumer_cases =
         Session.consult s reach_sub;
         ignore (Session.query s "p(X,Y)");
         let before = (Session.stats s).Machine.st_subgoals in
-        (* a variant of the completed subgoal is an instance of it too *)
+        (* a variant of the completed subgoal is an instance of it too;
+           the re-query reads the table directly and creates none *)
         check_bool "variant re-query" true (query_set s "p(A,B)" <> []);
-        check_int "served from the table" (before + 1) (Session.stats s).Machine.st_subgoals);
+        check_int "served from the table" before (Session.stats s).Machine.st_subgoals);
   ]
 
 let completion_cases =
