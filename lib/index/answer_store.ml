@@ -30,99 +30,16 @@ let tokens answer =
    consumed before this one is complete *)
 let opens = function TVar _ | TAtom _ | TInt _ | TFloat _ -> 0 | TStruct (_, n) -> n
 
-module type S = sig
-  type t
-
-  val create : ?size_hint:int -> unit -> t
-  val insert : t -> Canon.t -> bool
-  val mem : t -> Canon.t -> bool
-  val size : t -> int
-  val get : t -> int -> Canon.t
-  val iter : (Canon.t -> unit) -> t -> unit
-  val to_list : t -> Canon.t list
-end
-
-module Hash : S = struct
-  type t = { index : unit Canon.Tbl.t; order : Canon.t Vec.t }
-
-  let create ?(size_hint = 32) () = { index = Canon.Tbl.create size_hint; order = Vec.create () }
-
-  let mem t answer = Canon.Tbl.mem t.index answer
-
-  let insert t answer =
-    if mem t answer then false
-    else begin
-      Canon.Tbl.add t.index answer ();
-      Vec.push t.order answer;
-      true
-    end
-
-  let size t = Vec.length t.order
-  let get t i = Vec.get t.order i
-  let iter f t = Vec.iter f t.order
-  let to_list t = Vec.to_list t.order
-end
-
-module Trie : S = struct
-  (* Discrimination trie over the pre-order token string of the canonical
-     answer. Unlike first-string indexing, variables are tokens too, so
-     each answer has exactly one terminal node; storage and index are one
-     structure. *)
-  type node = { mutable terminal : bool; children : node Tok_tbl.t }
-
-  type t = { root : node; order : Canon.t Vec.t }
-
-  let fresh_node () = { terminal = false; children = Tok_tbl.create 4 }
-
-  let create ?size_hint:_ () = { root = fresh_node (); order = Vec.create () }
-
-  let mem t answer =
-    let rec go node = function
-      | [] -> node.terminal
-      | tok :: rest -> (
-          match Tok_tbl.find_opt node.children tok with
-          | Some child -> go child rest
-          | None -> false)
-    in
-    go t.root (tokens answer)
-
-  let insert t answer =
-    let rec go node = function
-      | [] ->
-          if node.terminal then false
-          else begin
-            node.terminal <- true;
-            true
-          end
-      | tok :: rest ->
-          let child =
-            match Tok_tbl.find_opt node.children tok with
-            | Some child -> child
-            | None ->
-                let child = fresh_node () in
-                Tok_tbl.add node.children tok child;
-                child
-          in
-          go child rest
-    in
-    let fresh = go t.root (tokens answer) in
-    if fresh then Vec.push t.order answer;
-    fresh
-
-  let size t = Vec.length t.order
-  let get t i = Vec.get t.order i
-  let iter f t = Vec.iter f t.order
-  let to_list t = Vec.to_list t.order
-end
-
 module Index = struct
-  (* The trie variant extended for the SLG machine's answer tables: each
-     terminal keeps a payload per answer *clause* (the same template can
-     be stored several times, e.g. under different delay lists), and the
-     trie supports retrieval by the bound-argument skeleton of a call:
-     [lookup] walks only the branches whose token prefix can unify with
-     the skeleton, so a bound call retrieves candidates without scanning
-     the whole table (paper §4.5). *)
+  (* Discrimination trie over the pre-order token string of the canonical
+     answer: variables are tokens too, so each answer template has
+     exactly one terminal node, and storage and index are one structure.
+     Each terminal keeps a payload per answer *clause* (the same template
+     can be stored several times, e.g. under different delay lists), and
+     the trie supports retrieval by the bound-argument skeleton of a
+     call: [lookup] walks only the branches whose token prefix can unify
+     with the skeleton, so a bound call retrieves candidates without
+     scanning the whole table (paper §4.5). *)
   type 'a node = {
     mutable entries : (int * 'a) list;  (* in reverse insertion order *)
     mutable latest : int;
@@ -130,12 +47,15 @@ module Index = struct
            subtree, [-1] when empty.  Lets a stamped retrieval skip whole
            branches that hold nothing newer than the consumer's last
            poll. *)
-    children : 'a node Tok_tbl.t;
+    mutable children : 'a node Tok_tbl.t option;
+        (* made on the first child: most nodes of an answer trie are
+           terminals without children, and an empty table would cost each
+           of them a 16-bucket array *)
   }
 
   type 'a t = { root : 'a node; order : 'a Vec.t }
 
-  let fresh_node () = { entries = []; latest = -1; children = Tok_tbl.create 4 }
+  let fresh_node () = { entries = []; latest = -1; children = None }
 
   let create ?size_hint:_ () = { root = fresh_node (); order = Vec.create () }
 
@@ -144,35 +64,61 @@ module Index = struct
   let iter f t = Vec.iter f t.order
   let fold_left f acc t = Vec.fold_left f acc t.order
 
-  let add t key payload =
-    let pos = Vec.length t.order in
-    let rec go node toks =
-      node.latest <- pos;
-      match toks with
-      | [] -> node
-      | tok :: rest ->
-          let child =
-            match Tok_tbl.find_opt node.children tok with
-            | Some child -> child
-            | None ->
-                let child = fresh_node () in
-                Tok_tbl.add node.children tok child;
-                child
-          in
-          go child rest
+  let child node tok =
+    match node.children with Some tbl -> Tok_tbl.find_opt tbl tok | None -> None
+
+  let child_or_add node tok =
+    let tbl =
+      match node.children with
+      | Some tbl -> tbl
+      | None ->
+          let tbl = Tok_tbl.create 4 in
+          node.children <- Some tbl;
+          tbl
     in
-    let node = go t.root (tokens key) in
-    node.entries <- (pos, payload) :: node.entries;
-    Vec.push t.order payload;
-    pos
+    match Tok_tbl.find_opt tbl tok with
+    | Some child -> child
+    | None ->
+        let child = fresh_node () in
+        Tok_tbl.add tbl tok child;
+        child
+
+  let iter_children f node = Option.iter (Tok_tbl.iter f) node.children
+
+  let fold_children f node acc =
+    match node.children with Some tbl -> Tok_tbl.fold f tbl acc | None -> acc
+
+  (* One walk to the terminal of [key], making the path as it goes. A
+     path made here ends in an empty terminal, so [absorbed] can only
+     refuse an insertion whose path already existed; an accepted one
+     raises the time stamps of the whole path on the way back. *)
+  let insert t key ~absorbed payload =
+    let pos = Vec.length t.order in
+    let rec go node = function
+      | [] ->
+          if List.exists (fun (_, x) -> absorbed x) node.entries then false
+          else begin
+            node.entries <- (pos, payload) :: node.entries;
+            node.latest <- pos;
+            true
+          end
+      | tok :: rest ->
+          let fresh = go (child_or_add node tok) rest in
+          if fresh then node.latest <- pos;
+          fresh
+    in
+    if go t.root (tokens key) then begin
+      Vec.push t.order payload;
+      Some pos
+    end
+    else None
+
+  let add t key payload = Option.get (insert t key ~absorbed:(fun _ -> false) payload)
 
   let find t key =
     let rec go node = function
       | [] -> List.rev_map snd node.entries
-      | tok :: rest -> (
-          match Tok_tbl.find_opt node.children tok with
-          | Some child -> go child rest
-          | None -> [])
+      | tok :: rest -> ( match child node tok with Some c -> go c rest | None -> [])
     in
     go t.root (tokens key)
 
@@ -182,10 +128,10 @@ module Index = struct
   let rec skip ~from node k acc =
     if k = 0 then if node.latest >= from then node :: acc else acc
     else
-      Tok_tbl.fold
+      fold_children
         (fun tok child acc ->
           if child.latest < from then acc else skip ~from child (k - 1 + opens tok) acc)
-        node.children acc
+        node acc
 
   let lookup_from ~from t skeleton =
     let acc = ref [] in
@@ -201,13 +147,11 @@ module Index = struct
                 List.iter (fun n -> go n rest) (skip ~from node 1 [])
             | _ ->
                 (* a stored variable absorbs the whole skeleton subterm *)
-                Tok_tbl.iter
+                iter_children
                   (fun tok child -> match tok with TVar _ -> go child rest | _ -> ())
-                  node.children;
+                  node;
                 let descend tok sub =
-                  match Tok_tbl.find_opt node.children tok with
-                  | Some child -> go child (sub @ rest)
-                  | None -> ()
+                  match child node tok with Some c -> go c (sub @ rest) | None -> ()
                 in
                 (match q with
                 | Canon.CVar _ -> assert false
@@ -225,41 +169,44 @@ module Index = struct
   let iter_matching ?(from = 0) t skeleton f =
     List.iter (fun (i, x) -> f i x) (lookup_from ~from t skeleton)
 
+  (* Estimated heap bytes of the whole index, on the same model as
+     [Canon.size_bytes]: trie nodes, their child tables and edges (with
+     the token payloads), entry cells, the insertion-order vector, and
+     the stored payloads through the caller's sizer. *)
+  let footprint payload_bytes t =
+    let word = 8 in
+    let tok_bytes = function
+      | TVar _ | TInt _ -> 2 * word
+      | TFloat _ -> 4 * word  (* the constructor block and the boxed float *)
+      | TAtom s -> (2 * word) + Canon.string_bytes s
+      | TStruct (s, _) -> (3 * word) + Canon.string_bytes s
+    in
+    let total = ref 0 in
+    let rec node n =
+      (* the node record and one cons + pair per entry *)
+      total := !total + (4 * word) + (List.length n.entries * 6 * word);
+      match n.children with
+      | None -> ()
+      | Some tbl ->
+          (* the option block, then the table; its bucket cells are the edges *)
+          total := !total + (2 * word) + Canon.hashtbl_bytes (Tok_tbl.length tbl);
+          Tok_tbl.iter
+            (fun tok child ->
+              total := !total + tok_bytes tok;
+              node child)
+            tbl
+    in
+    node t.root;
+    total := !total + (4 * word) + (Vec.capacity t.order * word);
+    Vec.iter (fun p -> total := !total + payload_bytes p) t.order;
+    !total
+
   (* Call-subsumption retrieval (Cruz & Rocha): the entries whose stored
      key is at least as general as [probe] — i.e. [probe] is an instance
      of the key.  The walk is exact, not a candidate superset: stored
      variables absorb whole probe subterms through a persistent binding
      environment, so a non-linear stored key like p(X,X) only matches
      probes whose corresponding subterms are equal. *)
-  (* Estimated heap bytes of the whole index: trie nodes, edges (with
-     their token payloads), entry cells, the insertion-order vector, and
-     the stored payloads through the caller's sizer. An estimate on the
-     same model as [Canon.size_bytes] — an upper bound that tracks
-     growth, for table-space accounting. *)
-  let footprint payload_bytes t =
-    let word = 8 in
-    let str s = word + (((String.length s / word) + 1) * word) in
-    let tok_bytes = function
-      | TVar _ | TInt _ | TFloat _ -> 2 * word
-      | TAtom s -> (2 * word) + str s
-      | TStruct (s, _) -> (3 * word) + str s
-    in
-    let total = ref 0 in
-    let rec node n =
-      (* the node record, its child table header, one cons + pair per entry *)
-      total := !total + (4 * word) + (4 * word) + (List.length n.entries * 6 * word);
-      Tok_tbl.iter
-        (fun tok child ->
-          (* one bucket binding per edge, plus the token itself *)
-          total := !total + (4 * word) + tok_bytes tok;
-          node child)
-        n.children
-    in
-    node t.root;
-    total := !total + (3 * word) + (Vec.length t.order * word);
-    Vec.iter (fun p -> total := !total + payload_bytes p) t.order;
-    !total
-
   let retrieve_subsuming t probe =
     let acc = ref [] in
     let rec go node bindings agenda =
@@ -268,7 +215,7 @@ module Index = struct
       | q :: rest ->
           (* a stored variable generalizes the whole probe subterm,
              consistently across repeated occurrences *)
-          Tok_tbl.iter
+          iter_children
             (fun tok child ->
               match tok with
               | TVar n -> (
@@ -276,11 +223,9 @@ module Index = struct
                   | Some prev -> if Canon.equal prev q then go child bindings rest
                   | None -> go child ((n, q) :: bindings) rest)
               | _ -> ())
-            node.children;
+            node;
           let descend tok sub =
-            match Tok_tbl.find_opt node.children tok with
-            | Some child -> go child bindings (sub @ rest)
-            | None -> ()
+            match child node tok with Some c -> go c bindings (sub @ rest) | None -> ()
           in
           (match q with
           | Canon.CVar _ ->
@@ -381,5 +326,3 @@ module Subsumption = struct
         let sum = add_values current value in
         if Canon.equal sum current then None else Some sum
 end
-
-include Hash

@@ -7,46 +7,18 @@
     consumers can resume incrementally from the position they have
     already consumed.
 
-    Two interchangeable implementations are provided: [Hash] — "a hash
-    index that includes all arguments of the answer", XSB's shipping
-    mechanism — and [Trie] — the trie-based answer index the paper
-    describes as under development, which integrates the index with the
-    storage of the answers. *)
+    The store is the trie-based answer index the paper describes as under
+    development, which integrates the index with the storage of the
+    answers: the index and the storage of the answer clauses are one
+    structure, and the trie is searchable by the bound-argument skeleton
+    of a call, so a bound call retrieves only the candidate answers whose
+    token prefix can unify instead of scanning the whole table. Entries
+    carry an arbitrary payload ['a] (the machine stores its answer
+    records); the same key may hold several entries — the machine keeps
+    one per (template, delay list) answer clause. *)
 
 open Xsb_term
 
-module type S = sig
-  type t
-
-  val create : ?size_hint:int -> unit -> t
-
-  val insert : t -> Canon.t -> bool
-  (** [true] if the answer is new; [false] for a duplicate (variant). *)
-
-  val mem : t -> Canon.t -> bool
-
-  val size : t -> int
-
-  val get : t -> int -> Canon.t
-  (** Answer by insertion position, [0 .. size-1]. *)
-
-  val iter : (Canon.t -> unit) -> t -> unit
-  (** In insertion order. *)
-
-  val to_list : t -> Canon.t list
-end
-
-module Hash : S
-module Trie : S
-
-(** The trie variant extended for the SLG machine's answer tables: the
-    index and the storage of the answer clauses are one structure, and the
-    trie is searchable by the bound-argument skeleton of a call, so a
-    bound call retrieves only the candidate answers whose token prefix can
-    unify instead of scanning the whole table (paper §4.5). Entries carry
-    an arbitrary payload ['a] (the machine stores its answer records); the
-    same key may be added several times — the machine keeps one entry per
-    (template, delay list) answer clause. *)
 module Index : sig
   type 'a t
 
@@ -64,9 +36,16 @@ module Index : sig
 
   val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 
+  val insert : 'a t -> Canon.t -> absorbed:('a -> bool) -> 'a -> int option
+  (** [insert t key ~absorbed x] appends [x] under [key] and returns its
+      insertion position, unless an entry already stored under exactly
+      this key satisfies [absorbed]: then the index is unchanged and the
+      result is [None]. Duplicate detection and insertion are one walk of
+      the trie. *)
+
   val add : 'a t -> Canon.t -> 'a -> int
-  (** Append an entry under [key]; returns its insertion position.
-      Duplicate-answer detection is the caller's business, via {!find}. *)
+  (** Append an entry under [key] unconditionally; returns its insertion
+      position. *)
 
   val find : 'a t -> Canon.t -> 'a list
   (** Entries stored under exactly this key (variant lookup), in
@@ -90,10 +69,11 @@ module Index : sig
 
   val footprint : ('a -> int) -> 'a t -> int
   (** [footprint payload_bytes t]: estimated heap bytes of the whole
-      index — trie nodes, edges (with their token payloads), entry
-      cells, the insertion-order vector, and every stored payload
-      through [payload_bytes]. An upper-bound estimate on the same
-      model as [Canon.size_bytes], for table-space accounting. *)
+      index — trie nodes, their child tables (made on a node's first
+      child) and edges with their token payloads, entry cells, the
+      insertion-order vector, and every stored payload through
+      [payload_bytes]. An estimate on the same model as
+      [Canon.size_bytes], for table-space accounting. *)
 
   val retrieve_subsuming : 'a t -> Canon.t -> (int * 'a) list
   (** Call-subsumption retrieval (Cruz & Rocha, "Efficient Instance
@@ -146,5 +126,3 @@ module Subsumption : sig
       stored answer already subsumes the new one (no change). *)
 end
 
-include S
-(** The default implementation (currently [Hash], as in XSB 1.3). *)

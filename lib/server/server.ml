@@ -553,12 +553,20 @@ let pred_indicator s =
    the handler sees EOF on its next read and closes the connection. *)
 let add_reply conn reply = Protocol.add_reply conn.c_reply reply
 
+(* The reply buffer keeps its storage from one request to the next, so
+   every sizeable reply does not regrow it by doubling (each growth past
+   256 words a fresh major-heap block). Storage past the channel
+   buffer's 64 KiB is given back, so one huge reply does not stay pinned
+   to its connection. *)
+let reply_keep = 65536
+
 let send conn =
   (try
      Buffer.output_buffer conn.c_oc conn.c_reply;
      flush conn.c_oc
    with Sys_error _ | Unix.Unix_error _ -> ());
-  Buffer.reset conn.c_reply
+  if Buffer.length conn.c_reply > reply_keep then Buffer.reset conn.c_reply
+  else Buffer.clear conn.c_reply
 
 let execute t (job : job) =
   let conn = job.j_conn in

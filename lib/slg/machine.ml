@@ -88,7 +88,9 @@ type subgoal = {
          answer *clauses* — the same template may be supported by several
          delay lists (§3.1) — in insertion order, retrievable by the
          bound-argument skeleton of a consuming call *)
-  s_uncond : unit Canon.Tbl.t;  (* templates with an unconditional answer *)
+  mutable s_uncond : int;
+      (* how many of the stored answers are unconditional; whether a
+         given template has one is read off its trie terminal *)
   mutable s_consumers : consumer list;  (* reverse registration order *)
   mutable s_deps : subgoal list;
       (* subgoal dependency graph, out-edges: tables this subgoal's
@@ -456,7 +458,7 @@ let create_table ev key pred_key =
       s_state = Incomplete;
       s_owner_eval = ev.e_id;
       s_store = Answer_index.create ~size_hint:16 ();
-      s_uncond = Canon.Tbl.create 8;
+      s_uncond = 0;
       s_consumers = [];
       s_deps = [];
       s_tasks = 0;
@@ -484,7 +486,7 @@ let create_table ev key pred_key =
             Hashtbl.add env.call_index pred_key idx;
             idx
       in
-      if Answer_index.find idx key = [] then ignore (Answer_index.add idx key key : int)
+      ignore (Answer_index.insert idx key ~absorbed:(fun _ -> true) key : int option)
   | _ -> ());
   ev.e_created <- sub :: ev.e_created;
   ev.e_scc_dirty <- true;
@@ -514,9 +516,17 @@ let remove_tables_for env pred_key =
   List.iter (Canon.Tbl.remove env.tables) doomed;
   List.length doomed
 
-let has_unconditional sub = Canon.Tbl.length sub.s_uncond > 0
+let has_unconditional sub = sub.s_uncond > 0
 
-let template_unconditional sub template = Canon.Tbl.mem sub.s_uncond template
+let template_unconditional sub template =
+  match (sub.s_mode, Subsumption.split template) with
+  | Pred.Subsumptive _, Some (k, _) -> (
+      (* folding rewrites a holder's template in place, leaving it on the
+         trie path of the template it was first stored under *)
+      match Canon.Tbl.find_opt sub.s_agg k with
+      | Some (_, holder) -> Canon.equal holder.a_template template
+      | None -> false)
+  | _ -> List.exists (fun a -> a.a_delays = []) (Answer_index.find sub.s_store template)
 
 let answer_count sub = Answer_index.size sub.s_store
 let has_any_answer sub = answer_count sub > 0
@@ -851,7 +861,7 @@ let completed_call env goal =
     match find_table env (Canon.of_term goal) with
     | Some sub
       when sub.s_state = Complete && (not sub.s_stale) && (not (is_subsumptive sub))
-           && answer_count sub = Canon.Tbl.length sub.s_uncond ->
+           && answer_count sub = sub.s_uncond ->
         Some sub
     | _ -> None
 
@@ -881,16 +891,21 @@ let answer_bytes a =
   + Canon.size_bytes a.a_template
   + List.fold_left (fun acc d -> acc + (3 * word) + delay_bytes d) 0 a.a_delays
 
-(* a [Canon.Tbl] with unit-ish payloads: header + one binding per key *)
-let canon_tbl_bytes keys_bytes tbl =
-  (4 * word) + Canon.Tbl.fold (fun k _ acc -> acc + (4 * word) + keys_bytes k) tbl 0
+(* a [Canon.Tbl]: the table itself plus its keys; values are unboxed or
+   shared with the answer store *)
+let canon_tbl_bytes tbl =
+  Canon.hashtbl_bytes (Canon.Tbl.length tbl)
+  + Canon.Tbl.fold (fun k _ acc -> acc + Canon.size_bytes k) tbl 0
 
 let table_bytes sub =
-  Canon.size_bytes sub.skey
+  (* the subgoal record, and the cons cells of its dependency lists *)
+  (18 * word)
+  + ((List.length sub.s_deps + List.length sub.s_dyn_reads) * 3 * word)
+  + Canon.size_bytes sub.skey
   + Answer_index.footprint answer_bytes sub.s_store
-  + canon_tbl_bytes Canon.size_bytes sub.s_uncond
-  + canon_tbl_bytes Canon.size_bytes sub.s_seen_raw
-  + canon_tbl_bytes Canon.size_bytes sub.s_agg
+  + canon_tbl_bytes sub.s_seen_raw
+  + canon_tbl_bytes sub.s_agg
+  + (Canon.Tbl.length sub.s_agg * 3 * word)  (* (position, holder) pairs *)
 
 let table_space_bytes env =
   Canon.Tbl.fold (fun _ sub acc -> acc + table_bytes sub) env.tables 0
@@ -1462,6 +1477,7 @@ and nested_completion ?stop_on_first ev goal key =
        (the paper's tcut: they have no users outside) *)
     abandon_eval nested;
     sub.s_state <- Complete;
+    sub.s_consumers <- [];
     (* the subgoal itself is detached from the table store but its
        answers remain readable by our caller *)
     sub
@@ -1607,23 +1623,20 @@ and note_new_answer ev owner key =
 
 and emit_plain ev owner key delays =
   if delays <> [] then owner.s_neg_dep <- true;
-  let duplicate =
-    if delays = [] then Canon.Tbl.mem owner.s_uncond key
-    else
-      (* an unconditional answer absorbs conditional ones for the same
-         template (SLG simplification) *)
-      Canon.Tbl.mem owner.s_uncond key
-      || List.exists
-           (fun a -> compare_delays a.a_delays delays = 0)
-           (Answer_index.find owner.s_store key)
+  (* an answer clause is a duplicate of one with the same delay list;
+     an unconditional answer absorbs conditional ones for the same
+     template too (SLG simplification) — if it still has that template:
+     answer subsumption folds holders in place, off their trie path *)
+  let absorbed a =
+    compare_delays a.a_delays delays = 0
+    || (a.a_delays = [] && Canon.equal a.a_template key)
   in
-  if duplicate then note_dup_answer ev owner key
-  else begin
-    if delays = [] then Canon.Tbl.replace owner.s_uncond key ();
-    let answer = { a_template = key; a_delays = delays } in
-    ignore (Answer_index.add owner.s_store key answer : int);
-    note_new_answer ev owner key
-  end
+  let answer = { a_template = key; a_delays = delays } in
+  match Answer_index.insert owner.s_store key ~absorbed answer with
+  | None -> note_dup_answer ev owner key
+  | Some _ ->
+      if delays = [] then owner.s_uncond <- owner.s_uncond + 1;
+      note_new_answer ev owner key
 
 (* Answer subsumption: one stored answer per combination of key columns
    (all arguments but the last); a new answer with an already-seen key
@@ -1652,7 +1665,7 @@ and emit_subsumptive ev owner key op =
         | None ->
             let v0 = lattice (fun () -> Subsumption.initial op v) in
             let template = Subsumption.rebuild functor_name k v0 in
-            Canon.Tbl.replace owner.s_uncond template ();
+            owner.s_uncond <- owner.s_uncond + 1;
             let answer = { a_template = template; a_delays = [] } in
             let pos = Answer_index.add owner.s_store template answer in
             Canon.Tbl.replace owner.s_agg k (pos, answer);
@@ -1667,8 +1680,6 @@ and emit_subsumptive ev owner key op =
             | None -> note_dup_answer ev owner key  (* subsumed *)
             | Some v' ->
                 let template = Subsumption.rebuild functor_name k v' in
-                Canon.Tbl.remove owner.s_uncond holder.a_template;
-                Canon.Tbl.replace owner.s_uncond template ();
                 holder.a_template <- template;
                 env.stats.st_folds <- env.stats.st_folds + 1;
                 if obs_on env then
@@ -1809,7 +1820,15 @@ and run_eval ?stop ev =
   let env = ev.e_env in
   let saved_stop = env.stop in
   env.stop <- stop;
-  let finally () = env.stop <- saved_stop in
+  let finally () =
+    env.stop <- saved_stop;
+    (* a completed table is only read from now on: it keeps its
+       answers, [s_deps] and [s_dyn_reads] and frees its suspension
+       state, as the SLG-WAM does. A kept consumer would pin its owner's
+       derivation state — for a query's consumer, the whole answer trie
+       of the already deleted query table *)
+    List.iter (fun s -> if s.s_state = Complete then s.s_consumers <- []) ev.e_created
+  in
   let stopped () = match stop with Some f -> f () | None -> false in
   let rec loop () =
     if stopped () then ()

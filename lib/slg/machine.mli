@@ -62,8 +62,10 @@ type subgoal = {
   mutable s_owner_eval : int;
   s_store : answer Xsb_index.Answer_store.Index.t;
       (** trie-indexed answer clauses, in insertion order (paper §4.5) *)
-  s_uncond : unit Canon.Tbl.t;
+  mutable s_uncond : int;  (** how many stored answers are unconditional *)
   mutable s_consumers : consumer list;
+      (** registered while the table is incomplete; emptied when the
+          evaluation that completes it ends *)
   mutable s_deps : subgoal list;
       (** dependency-graph out-edges: tables this subgoal's suspended
           derivations consume from or negatively wait on *)

@@ -102,6 +102,13 @@ let rec size_bytes = function
       (3 * word) + ((Array.length args + 1) * word) + string_bytes f
       + Array.fold_left (fun acc a -> acc + size_bytes a) 0 args
 
+(* a stdlib hashtable of [n] bindings, keys and values aside: the record,
+   the bucket array (16 buckets at least, doubled whenever the bindings
+   outnumber the buckets twice) and one bucket cell per binding *)
+let hashtbl_bytes n =
+  let rec buckets b = if n > 2 * b then buckets (2 * b) else b in
+  (5 * word) + ((1 + buckets 16) * word) + (n * 4 * word)
+
 let rec pp ppf = function
   | CVar n -> Fmt.pf ppf "_%d" n
   | CAtom a -> Fmt.string ppf a

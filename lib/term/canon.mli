@@ -30,6 +30,15 @@ val size_bytes : t -> int
     full even though the runtime may share them — table-space accounting
     wants an upper bound that tracks growth, not exact liveness. *)
 
+val string_bytes : string -> int
+(** Estimated heap bytes of a string block, on the same model. *)
+
+val hashtbl_bytes : int -> int
+(** Estimated heap bytes of a stdlib [Hashtbl] holding [n] bindings, not
+    counting the keys and values themselves: the record, the bucket array
+    (at least 16 buckets, doubled as the table grows) and one bucket cell
+    per binding. *)
+
 val pp : t Fmt.t
 
 module Tbl : Hashtbl.S with type key = t

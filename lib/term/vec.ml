@@ -3,6 +3,7 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 let create () = { data = [||]; len = 0 }
 
 let length t = t.len
+let capacity t = Array.length t.data
 
 let grow t x =
   let cap = Array.length t.data in

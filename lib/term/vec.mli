@@ -4,6 +4,10 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
+
+val capacity : 'a t -> int
+(** Slots allocated, used or not. *)
+
 val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit

@@ -5,6 +5,21 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_ints = Alcotest.(check (list int))
 
+(* The oracle for the answer index's duplicate detection: a hashtable of
+   the canonical answers seen, beside their insertion order. *)
+let hash_store () = (Canon.Tbl.create 16, ref [])
+
+let hash_insert (seen, order) c =
+  if Canon.Tbl.mem seen c then false
+  else begin
+    Canon.Tbl.add seen c ();
+    order := c :: !order;
+    true
+  end
+
+(* set semantics: any entry already stored under the same key absorbs *)
+let index_insert idx c = Answer_index.insert idx c ~absorbed:(fun _ -> true) c <> None
+
 let args_of s =
   match Term.deref (Parser.term_of_string s) with
   | Term.Struct (_, args) -> args
@@ -87,37 +102,36 @@ let cases =
         check_ints "prunes deeper mismatch" [ 0 ]
           (First_string.lookup trie (args_of "p(g(a),f(b))")));
     t "answer store insertion order and dups" `Quick (fun () ->
-        let store = Answer_store.create () in
+        let store = Answer_index.create () in
         let c s = Canon.of_term (Parser.term_of_string s) in
-        check_bool "new" true (Answer_store.insert store (c "p(1)"));
-        check_bool "new" true (Answer_store.insert store (c "p(2)"));
-        check_bool "dup" false (Answer_store.insert store (c "p(1)"));
+        check_bool "new" true (index_insert store (c "p(1)"));
+        check_bool "new" true (index_insert store (c "p(2)"));
+        check_bool "dup" false (index_insert store (c "p(1)"));
         check_bool "variant dup" false
-          (Answer_store.insert store (Canon.of_term (Parser.term_of_string "p(1)")));
-        check_int "size" 2 (Answer_store.size store);
-        check_bool "order" true (Canon.equal (Answer_store.get store 0) (c "p(1)")));
+          (index_insert store (Canon.of_term (Parser.term_of_string "p(1)")));
+        check_int "size" 2 (Answer_index.size store);
+        check_bool "order" true (Canon.equal (Answer_index.get store 0) (c "p(1)")));
     t "answer store variant semantics with variables" `Quick (fun () ->
-        let store = Answer_store.create () in
+        let store = Answer_index.create () in
         let c s = Canon.of_term (Parser.term_of_string s) in
-        check_bool "p(X,Y) new" true (Answer_store.insert store (c "p(X,Y)"));
-        check_bool "p(A,B) variant dup" false (Answer_store.insert store (c "p(A,B)"));
-        check_bool "p(A,A) distinct" true (Answer_store.insert store (c "p(A,A)")));
+        check_bool "p(X,Y) new" true (index_insert store (c "p(X,Y)"));
+        check_bool "p(A,B) variant dup" false (index_insert store (c "p(A,B)"));
+        check_bool "p(A,A) distinct" true (index_insert store (c "p(A,A)")));
     t "trie answer store agrees with hash store" `Quick (fun () ->
-        let hash = Answer_store.Hash.create () in
-        let trie = Answer_store.Trie.create () in
+        let hash = hash_store () in
+        let trie = Answer_index.create () in
         let inputs =
           [ "p(1,2)"; "p(X,Y)"; "p(X,X)"; "p(1,2)"; "p(f(X),[1,2])"; "p(f(Y),[1,2])"; "p(a,b)" ]
         in
         List.iter
           (fun s ->
             let c = Canon.of_term (Parser.term_of_string s) in
-            check_bool ("agree on " ^ s) (Answer_store.Hash.insert hash c)
-              (Answer_store.Trie.insert trie c))
+            check_bool ("agree on " ^ s) (hash_insert hash c) (index_insert trie c))
           inputs;
-        check_int "same size" (Answer_store.Hash.size hash) (Answer_store.Trie.size trie);
+        check_int "same size" (List.length !(snd hash)) (Answer_index.size trie);
         List.iteri
-          (fun i c -> check_bool "same order" true (Canon.equal c (Answer_store.Trie.get trie i)))
-          (Answer_store.Hash.to_list hash));
+          (fun i c -> check_bool "same order" true (Canon.equal c (Answer_index.get trie i)))
+          (List.rev !(snd hash)));
   ]
 
 let props =
@@ -126,14 +140,15 @@ let props =
     Test.make ~name:"hash and trie answer stores are observationally equal" ~count:100
       (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 40) Generators.term_gen)
       (fun terms ->
-        let hash = Answer_store.Hash.create () in
-        let trie = Answer_store.Trie.create () in
+        let hash = hash_store () in
+        let trie = Answer_index.create () in
         List.for_all
           (fun t ->
             let c = Canon.of_term (Term.copy t) in
-            Answer_store.Hash.insert hash c = Answer_store.Trie.insert trie c)
+            hash_insert hash c = index_insert trie c)
           terms
-        && Answer_store.Hash.to_list hash = Answer_store.Trie.to_list trie);
+        (* both in reverse insertion order *)
+        && !(snd hash) = Answer_index.fold_left (fun acc c -> c :: acc) [] trie);
     Test.make ~name:"first_string lookup is a superset of unifiable clauses" ~count:100
       (QCheck2.Gen.pair
          (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 20) Generators.term_gen)
@@ -409,3 +424,21 @@ let subsumption_props =
 
 let suite =
   suite @ subsumption_cases @ List.map (QCheck_alcotest.to_alcotest ~long:false) subsumption_props
+
+let insert_cases =
+  let c s = Canon.of_term (Parser.term_of_string s) in
+  [
+    t "answer index: insert is refused only by an absorbing entry" `Quick (fun () ->
+        let idx = Answer_index.create () in
+        let ins key x = Answer_index.insert idx (c key) ~absorbed:(fun e -> e = x) x in
+        check_bool "first" true (ins "p(1)" "a" = Some 0);
+        check_bool "same key, not absorbed" true (ins "p(1)" "b" = Some 1);
+        check_bool "absorbed" true (ins "p(1)" "b" = None);
+        check_bool "other key" true (ins "p(2)" "b" = Some 2);
+        check_int "size" 3 (Answer_index.size idx);
+        check_bool "entries of p(1)" true (Answer_index.find idx (c "p(1)") = [ "a"; "b" ]);
+        check_bool "absorbed by the first entry" true (ins "p(1)" "a" = None);
+        check_int "size unchanged" 3 (Answer_index.size idx));
+  ]
+
+let suite = suite @ insert_cases

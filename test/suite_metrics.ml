@@ -317,3 +317,37 @@ let bytes_cases =
 let suite =
   histogram_cases @ registry_cases @ golden_cases @ checker_cases @ mclock_cases @ bytes_cases
   @ [ QCheck_alcotest.to_alcotest ~long:false parse_back_prop ]
+
+(* --- the accounting model against the heap the table space holds --- *)
+
+let heap_cases =
+  [
+    t "table accounting tracks the live heap of the table space" `Quick (fun () ->
+        (* every source of a seeded cycle graph gets its own completed
+           path/2 table, all read back through query tables: the heap
+           those tables keep must be what the accounting reports *)
+        let nodes = 60 in
+        let st = Random.State.make [| 7 |] in
+        let edges =
+          List.init nodes (fun i -> (i, (i + 1) mod nodes))
+          @ List.init nodes (fun _ -> (Random.State.int st nodes, Random.State.int st nodes))
+        in
+        let s = Xsb.Session.create () in
+        Xsb.Session.consult s
+          (":- table path/2.\n\
+            path(X,Y) :- edge(X,Y).\n\
+            path(X,Y) :- path(X,Z), edge(Z,Y).\n"
+          ^ String.concat "" (List.map (fun (a, b) -> Printf.sprintf "edge(%d,%d).\n" a b) edges));
+        for src = 0 to nodes - 1 do
+          check_int "every node reachable" nodes
+            (Xsb.Session.count s (Printf.sprintf "path(%d,X)" src))
+        done;
+        let eng = Xsb.Session.engine s in
+        let live = Obj.reachable_words (Obj.repr (Xsb.Engine.env eng).Xsb.Machine.tables) * 8 in
+        let counted = Xsb.Engine.table_space_bytes eng in
+        let ratio = float_of_int live /. float_of_int counted in
+        if ratio < 0.75 || ratio > 1.25 then
+          Alcotest.failf "live table heap %d B vs accounted %d B (ratio %.2f)" live counted ratio);
+  ]
+
+let suite = suite @ heap_cases

@@ -894,3 +894,80 @@ let completed_read_cases =
   ]
 
 let suite = suite @ completed_read_cases
+
+(* --- a completed table keeps its answers and frees its suspension
+   state: once the evaluation that completed it ends, it holds no
+   consumer — in particular not the one a query's private $queryN table
+   registered, which would pin that deleted table's answers --- *)
+
+let check_no_consumers what s =
+  Canon.Tbl.iter
+    (fun _ (sub : Machine.subgoal) ->
+      if sub.Machine.s_state = Machine.Complete then
+        check_int
+          (Printf.sprintf "%s: consumers kept by %s" what (Term.to_string (Canon.to_term sub.skey)))
+          0
+          (List.length sub.Machine.s_consumers))
+    (Engine.env (Session.engine s)).Machine.tables
+
+let completed_tables s =
+  List.length (List.filter (fun (_, complete, _) -> complete) (Engine.tables (Session.engine s)))
+
+let both_schedulings f () = List.iter f [ Machine.Batched; Machine.Local ]
+
+let consumer_lifecycle_cases =
+  [
+    t "completed tables keep no consumers after a query" `Quick
+      (both_schedulings (fun scheduling ->
+           let s = Session.create ~scheduling () in
+           Session.consult s (tc_program (cycle 12 @ [ (3, 7); (9, 2) ]));
+           check_int "through a query table" 12 (Session.count s "path(1,X)");
+           check_int "a conjunction over several tables" 144 (Session.count s "path(2,X), path(X,Y)");
+           check_bool "tables completed" true (completed_tables s >= 12);
+           check_no_consumers "full evaluation" s));
+    t "completed tables keep no consumers after a truncated or timed-out query" `Quick
+      (both_schedulings (fun scheduling ->
+           let s = Session.create ~scheduling () in
+           Session.consult s (tc_program (cycle 12 @ [ (3, 7); (9, 2) ]));
+           let e = Session.engine s in
+           (match Engine.run_bounded_string ~limit:3 e "path(4,X), path(X,Y)" with
+           | `Truncated sols -> check_int "limit" 3 (List.length sols)
+           | _ -> Alcotest.fail "expected `Truncated");
+           check_no_consumers "answer limit" s;
+           (match Engine.run_bounded_string ~max_steps:200 e "path(5,X), path(X,Y)" with
+           | `Timeout _ -> ()
+           | _ -> Alcotest.fail "expected `Timeout");
+           check_no_consumers "step budget" s;
+           check_int "later queries unaffected" 144 (Session.count s "path(5,X), path(X,Y)");
+           check_no_consumers "after recovery" s));
+    t "completed tables keep no consumers after an e_tnot early stop" `Quick
+      (both_schedulings (fun scheduling ->
+           let s = Session.create ~scheduling () in
+           Session.consult s
+             (":- table win/1.\nwin(X) :- move(X,Y), e_tnot(win(Y)).\n"
+             ^ String.concat "\n"
+                 (List.init 15 (fun i -> Printf.sprintf "move(%d,%d)." (i + 1) (i + 2))));
+           check_bool "win(1)" true (Session.succeeds s "win(1)");
+           check_bool "win(2)" false (Session.succeeds s "win(2)");
+           check_bool "tables completed" true (completed_tables s > 0);
+           check_no_consumers "existential negation" s));
+    t "a repaired incremental table keeps no consumers" `Quick
+      (both_schedulings (fun scheduling ->
+           let s = Session.create ~scheduling () in
+           Session.consult s
+             ":- table reach/2 as incremental.\n\
+              :- dynamic edge/2.\n\
+              reach(X,Y) :- edge(X,Y).\n\
+              reach(X,Z) :- reach(X,Y), edge(Y,Z).\n\
+              edge(1,2). edge(2,3). edge(3,1).";
+           check_int "warm" 3 (Session.count s "reach(1,X)");
+           check_no_consumers "before the write" s;
+           check_bool "assert" true (Session.succeeds s "assert(edge(3,4))");
+           check_int "repaired" 4 (Session.count s "reach(1,X)");
+           check_int "one repair" 1 (Session.stats s).Machine.st_repairs;
+           check_no_consumers "after the repair" s;
+           check_int "queried again" 4 (Session.count s "reach(2,X)");
+           check_no_consumers "queried again" s));
+  ]
+
+let suite = suite @ consumer_lifecycle_cases
