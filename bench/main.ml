@@ -66,7 +66,7 @@ let figure2 () =
   List.iter
     (fun h ->
       let s = fresh_session (Workloads.win_program ~neg:`Sldnf h) in
-      Xsb.Engine.set_count_calls (Xsb.Session.engine s) true;
+      Xsb.Engine.set_profiling (Xsb.Session.engine s) true;
       ignore (Xsb.Session.succeeds s "win(1)");
       let calls = Xsb.Engine.call_count (Xsb.Session.engine s) "win" 1 in
       let slg = fresh_session (Workloads.win_program ~neg:`Tnot h) in
@@ -493,7 +493,7 @@ let scheduling () =
     Xsb.Session.set_profiling s true;
     Xsb.Session.consult s text;
     ignore (Xsb.Session.count s query);
-    Xsb.Obs.Metrics.report_to_json (Xsb.Session.metrics s)
+    Xsb.Obs.Profile.report_to_json (Xsb.Session.metrics s)
   in
   let oc = open_out "BENCH_scheduling_profile.json" in
   output_string oc "{ \"experiment\": \"scheduling-profile\", \"runs\": [\n";
@@ -629,10 +629,10 @@ let metrics_bench () =
         queue_capacity = 4 * clients;
         default_timeout_ms = 60_000;
         default_max_steps = 0;
-        metrics_enabled;
       }
     in
     let server = Server.start cfg in
+    Xsb.Metrics.set_enabled (Server.registry server) metrics_enabled;
     let latencies = Array.make (clients * requests) 0.0 in
     let errors = Atomic.make 0 in
     let scrapes = Atomic.make 0 in

@@ -7,7 +7,7 @@ let stop_requested = Atomic.make false
 let main host port workers queue timeout_ms max_steps max_answers preload scheduling access_log
     profile data_dir sync group_commit_ms group_commit_batch compact_bytes keep_generations
     repl_port replica_of sync_standbys sync_timeout_ms auto_promote promote_priority
-    failover_timeout_ms peers no_metrics slow_ms slow_log =
+    failover_timeout_ms peers slow_ms slow_log =
   let open_log = function
     | None -> None
     | Some "-" -> Some stdout
@@ -48,7 +48,6 @@ let main host port workers queue timeout_ms max_steps max_answers preload schedu
       promote_priority;
       failover_timeout_ms;
       peers;
-      metrics_enabled = not no_metrics;
       slow_ms;
       slow_log = slow_channel;
     }
@@ -161,8 +160,11 @@ let profile =
   Arg.(
     value & flag
     & info [ "profile" ]
-        ~doc:"Aggregate per-predicate request counts, answers, steps and wall time; print the \
-              report at shutdown.")
+        ~doc:
+          "Profile every session's engine per predicate (calls, subgoals, answers, \
+           duplicates, suspensions, resolutions, time, peak table) into the metrics registry, \
+           so METRICS carries the xsb_pred_* series; at shutdown print those rows and the \
+           per-op request counts and wall time.")
 
 let sync_conv =
   let parse s =
@@ -310,14 +312,6 @@ let peers =
            monitor probes them (ROLE) before promoting, and clients using --endpoints learn \
            them for re-discovery.")
 
-let no_metrics =
-  Arg.(
-    value & flag
-    & info [ "no-metrics" ]
-        ~doc:
-          "Disable the metrics registry's record paths (METRICS still answers, with empty \
-           counters). The control arm when measuring instrumentation overhead.")
-
 let slow_ms =
   Arg.(
     value & opt int 0
@@ -345,6 +339,6 @@ let cmd =
       $ scheduling $ access_log $ profile $ data_dir $ sync $ group_commit_ms $ group_commit_batch
       $ compact_bytes $ keep_generations $ repl_port $ replica_of $ sync_standbys
       $ sync_timeout_ms $ auto_promote $ promote_priority $ failover_timeout_ms $ peers
-      $ no_metrics $ slow_ms $ slow_log)
+      $ slow_ms $ slow_log)
 
 let () = exit (Cmd.eval' cmd)

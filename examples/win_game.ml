@@ -46,7 +46,7 @@ let () =
   let sldnf = Xsb.Session.create () in
   Xsb.Session.consult sldnf "win(X) :- move(X,Y), \\+ win(Y).";
   Xsb.Session.consult sldnf (complete_binary_tree height);
-  Xsb.Engine.set_count_calls (Xsb.Session.engine sldnf) true;
+  Xsb.Engine.set_profiling (Xsb.Session.engine sldnf) true;
   Fmt.pr "SLDNF (\\+):           win(1): %b@." (Xsb.Session.succeeds sldnf "win(1)");
   Fmt.pr "  (%d calls to win/1 out of %d positions — the sqrt(2)^n effect of Figure 2)@."
     (Xsb.Engine.call_count (Xsb.Session.engine sldnf) "win" 1)

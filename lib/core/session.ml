@@ -60,8 +60,8 @@ let recorder t = Engine.recorder t.eng
 let add_sink t sink = Engine.add_sink t.eng sink
 let clear_sinks t = Engine.clear_sinks t.eng
 let metrics t = Engine.metrics t.eng
-let set_profiling t flag = Engine.set_profiling t.eng flag
-let pp_profile ?internal ppf t = Engine.pp_profile ?internal ppf t.eng
+let set_profiling ?registry t flag = Engine.set_profiling ?registry t.eng flag
+let pp_profile ppf t = Engine.pp_profile ppf t.eng
 let pp_table_dump ppf t = Engine.pp_table_dump ppf t.eng
 
 (* the sink named by --trace / XSB_TRACE; [out] is the --trace-out

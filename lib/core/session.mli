@@ -52,12 +52,15 @@ val add_sink : t -> Xsb_obs.Obs.Sink.t -> unit
 
 val clear_sinks : t -> unit
 
-val metrics : t -> Xsb_obs.Obs.Metrics.t
+val metrics : t -> Xsb_obs.Metrics.t
+(** The registry the per-predicate profile records into. *)
 
-val set_profiling : t -> bool -> unit
-(** Enable per-predicate profiling (the [--profile] report). *)
+val set_profiling : ?registry:Xsb_obs.Metrics.t -> t -> bool -> unit
+(** Enable per-predicate profiling (the [--profile] report) into
+    [registry], or into a registry of the session's own (see
+    {!Xsb_slg.Engine.set_profiling}). *)
 
-val pp_profile : ?internal:bool -> Format.formatter -> t -> unit
+val pp_profile : Format.formatter -> t -> unit
 val pp_table_dump : Format.formatter -> t -> unit
 
 val sink_of_spec : out:out_channel -> string -> Xsb_obs.Obs.Sink.t option

@@ -2,11 +2,11 @@
    log-bucketed latency histograms, rendered in the Prometheus text
    exposition format by a self-contained encoder.
 
-   Distinct from {!Obs.Metrics}, the per-predicate SLG profiler: that
-   one answers "which predicate is hot inside one evaluation"; this one
-   answers "what is the server doing right now" — request rates, latency
-   quantiles, table-space bytes, journal durability lag — and is meant
-   to be scraped continuously over the wire (the METRICS op).
+   It is the one store of accounting numbers: request rates, latency
+   quantiles, table-space bytes, journal durability lag, and — while
+   profiling is on — the engine's per-predicate profile ({!Obs.Profile}
+   records its [xsb_pred_*] series here and renders [--profile] from a
+   scrape of them). The server's METRICS op serves it over the wire.
 
    The record path is lock-cheap: a counter bump is one [Atomic.incr]
    behind one boolean read; a histogram observation takes a per-histogram
@@ -255,6 +255,14 @@ module Gauge = struct
 
   let incr g = add g 1.0
   let decr g = add g (-1.0)
+
+  (* a high-water mark shared across threads: a plain read-then-set
+     could lose a larger value written in between *)
+  let rec set_max g v =
+    if !(g.g_on) then begin
+      let cur = Atomic.get g.g_value in
+      if v > cur && not (Atomic.compare_and_set g.g_value cur v) then set_max g v
+    end
 end
 
 (* ------------------------------------------------------------------ *)
@@ -315,16 +323,20 @@ let render_family buf fam =
           let v = try f () with _ -> Float.nan in
           Printf.bprintf buf "%s%s %s\n" fam.fam_name (label_text labels) (float_text v)
       | Vhistogram h ->
+          (* _count is the +Inf row of the same locked read as the
+             buckets: an observation landing mid-render cannot make the
+             two disagree *)
+          let rows = Histogram.cumulative h in
           List.iter
             (fun (bound, cum) ->
               Printf.bprintf buf "%s_bucket%s %d\n" fam.fam_name
                 (label_text (labels @ [ ("le", float_text bound) ]))
                 cum)
-            (Histogram.cumulative h);
+            rows;
           Printf.bprintf buf "%s_sum%s %s\n" fam.fam_name (label_text labels)
             (float_text (Histogram.sum h));
           Printf.bprintf buf "%s_count%s %d\n" fam.fam_name (label_text labels)
-            (Histogram.count h))
+            (List.fold_left (fun _ (_, cum) -> cum) 0 rows))
     fam.fam_children
 
 let to_text t =

@@ -3,10 +3,12 @@
     format by a self-contained encoder (and parsed back by
     {!Exposition} so tests and CI can reject a malformed scrape).
 
-    Distinct from {!Obs.Metrics}, the per-predicate SLG profiler: this
-    registry holds operational signals — request rates, latency
-    quantiles, table-space bytes, journal durability lag — meant to be
-    scraped continuously (the server's METRICS op).
+    The one store of accounting numbers: operational signals — request
+    rates, latency quantiles, table-space bytes, journal durability lag
+    — and, while profiling is on, the engine's per-predicate profile as
+    [xsb_pred_*{pred="name/arity"}] series ({!Obs.Profile}, whose
+    [--profile] report is rendered from a scrape of this registry).
+    Meant to be scraped continuously (the server's METRICS op).
 
     The record path is lock-cheap: a counter bump is one atomic add
     behind one boolean read; a histogram observation takes a
@@ -84,6 +86,11 @@ module Gauge : sig
   val add : t -> float -> unit
   val incr : t -> unit
   val decr : t -> unit
+
+  val set_max : t -> float -> unit
+  (** Raise the gauge to [v] if [v] is larger (a compare-and-set loop,
+      so writers on different threads never lose the maximum). *)
+
   val value : t -> float
 end
 

@@ -17,10 +17,11 @@
      object per line, machine-readable, parsed back by {!Json}), an
      in-memory ring buffer (tests), and a custom callback.
 
-   - {!Metrics}: a per-predicate profiling registry (calls, answers,
-     duplicate ratio, suspensions, resolutions, inclusive wall time
-     sampled around scheduler tasks, peak answer-table size), rendered
-     as a sortable report ([--profile]) or as JSON (bench snapshots). *)
+   - {!Profile}: the per-predicate profile (calls, answers, duplicates,
+     suspensions, resolutions, inclusive wall time sampled around
+     scheduler tasks, peak answer-table size) as labelled series in a
+     {!Metrics} registry, rendered from a scrape of that registry as a
+     sortable report ([--profile]) or as JSON (bench snapshots). *)
 
 (* ------------------------------------------------------------------ *)
 
@@ -213,113 +214,136 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-module Metrics = struct
-  (* Time source for task timing: the process monotonic clock, so an NTP
-     step cannot corrupt a measured duration. Injectable for tests. *)
-  let clock : (unit -> float) ref = ref Mclock.now
+module Profile = struct
+  let help what = Printf.sprintf "Per-predicate profile: %s." what
 
-  type cell = {
-    mutable m_calls : int;  (* times the predicate was selected as a goal *)
-    mutable m_subgoals : int;  (* distinct tabled subgoals (tables created) *)
-    mutable m_answers : int;  (* new answers entering its tables *)
-    mutable m_dup_answers : int;  (* derived answers already present *)
-    mutable m_suspensions : int;  (* consumers registered on its tables *)
-    mutable m_resolutions : int;  (* program-clause resolutions *)
-    mutable m_time : float;  (* inclusive seconds inside scheduler tasks *)
-    mutable m_peak_table : int;  (* largest answer table observed *)
+  type handles = {
+    calls : Metrics.Counter.t;
+    subgoals : Metrics.Counter.t;
+    answers : Metrics.Counter.t;
+    dup_answers : Metrics.Counter.t;
+    suspensions : Metrics.Counter.t;
+    resolutions : Metrics.Counter.t;
+    task_seconds : Metrics.Gauge.t;
+    peak_answers : Metrics.Gauge.t;
   }
 
-  let fresh_cell () =
+  let register reg label =
+    let labels = [ ("pred", label) ] in
+    let counter name what = Metrics.counter reg ~labels ~help:(help what) name in
+    let gauge name what = Metrics.gauge reg ~labels ~help:(help what) name in
     {
-      m_calls = 0;
-      m_subgoals = 0;
-      m_answers = 0;
-      m_dup_answers = 0;
-      m_suspensions = 0;
-      m_resolutions = 0;
-      m_time = 0.0;
-      m_peak_table = 0;
+      calls = counter "xsb_pred_calls_total" "times the predicate was selected as a goal";
+      subgoals = counter "xsb_pred_subgoals_total" "tabled subgoals created (tables)";
+      answers = counter "xsb_pred_answers_total" "new answers entering its tables";
+      dup_answers = counter "xsb_pred_dup_answers_total" "derived answers already present";
+      suspensions = counter "xsb_pred_suspensions_total" "consumers registered on its tables";
+      resolutions = counter "xsb_pred_resolutions_total" "program-clause resolutions";
+      task_seconds =
+        gauge "xsb_pred_task_seconds" "inclusive seconds inside its scheduler tasks";
+      peak_answers = gauge "xsb_pred_peak_answers" "largest answer table observed";
     }
 
-  type t = {
-    cells : (string * int, cell) Hashtbl.t;
-    mutable enabled : bool;
+  (* private predicates ($queryN tables, one per query) get handles on a
+     disabled registry: recording them would add series without bound *)
+  let ignored =
+    let reg = Metrics.create () in
+    Metrics.set_enabled reg false;
+    register reg "$"
+
+  type t = { registry : Metrics.t; cache : (string * int, handles) Hashtbl.t }
+
+  let create registry = { registry; cache = Hashtbl.create 32 }
+  let registry t = t.registry
+  let find t key = Hashtbl.find_opt t.cache key
+
+  let handles t ((name, arity) as key) =
+    if String.length name > 0 && name.[0] = '$' then ignored
+    else
+      match Hashtbl.find_opt t.cache key with
+      | Some h -> h
+      | None ->
+          let h = register t.registry (name ^ "/" ^ string_of_int arity) in
+          Hashtbl.add t.cache key h;
+          h
+
+  type row = {
+    r_pred : string;  (* "name/arity" *)
+    r_calls : int;
+    r_subgoals : int;
+    r_answers : int;
+    r_dup_answers : int;
+    r_suspensions : int;
+    r_resolutions : int;
+    r_time : float;  (* seconds *)
+    r_peak : int;
   }
 
-  let create () = { cells = Hashtbl.create 32; enabled = false }
-  let enabled t = t.enabled
-  let set_enabled t flag = t.enabled <- flag
-  let reset t = Hashtbl.reset t.cells
-
-  let cell t key =
-    match Hashtbl.find_opt t.cells key with
-    | Some c -> c
-    | None ->
-        let c = fresh_cell () in
-        Hashtbl.add t.cells key c;
-        c
-
-  let find t key = Hashtbl.find_opt t.cells key
-  let calls t name arity = match find t (name, arity) with Some c -> c.m_calls | None -> 0
-
-  let note_table_size c n = if n > c.m_peak_table then c.m_peak_table <- n
-
-  let dup_ratio c =
-    let total = c.m_answers + c.m_dup_answers in
-    if total = 0 then 0.0 else float_of_int c.m_dup_answers /. float_of_int total
-
-  (* internal predicates ($queryN tables, compiler-generated helpers) are
-     hidden from reports unless asked for *)
-  let internal_pred (name, _) = String.length name > 0 && name.[0] = '$'
-
-  type row = { row_pred : string * int; row_cell : cell }
-
-  (* sorted hottest-first: wall time, then answers, then calls *)
-  let rows ?(internal = false) t =
-    Hashtbl.fold
-      (fun key c acc ->
-        if internal || not (internal_pred key) then { row_pred = key; row_cell = c } :: acc
-        else acc)
-      t.cells []
+  (* read back from a scrape, so the report and METRICS cannot
+     disagree; sorted hottest-first: time, then answers, then calls *)
+  let rows registry =
+    let samples =
+      match Metrics.Exposition.validate (Metrics.to_text registry) with
+      | Ok samples -> samples
+      | Error why -> failwith ("Obs.Profile.rows: invalid exposition: " ^ why)
+    in
+    List.filter_map
+      (fun (fam, s) ->
+        match List.assoc_opt "pred" s.Metrics.Exposition.s_labels with
+        | Some pred when fam = "xsb_pred_calls_total" ->
+            let get name =
+              Option.value ~default:0.0
+                (Metrics.Exposition.find ~labels:[ ("pred", pred) ] samples name)
+            in
+            let int name = int_of_float (get name) in
+            Some
+              {
+                r_pred = pred;
+                r_calls = int "xsb_pred_calls_total";
+                r_subgoals = int "xsb_pred_subgoals_total";
+                r_answers = int "xsb_pred_answers_total";
+                r_dup_answers = int "xsb_pred_dup_answers_total";
+                r_suspensions = int "xsb_pred_suspensions_total";
+                r_resolutions = int "xsb_pred_resolutions_total";
+                r_time = get "xsb_pred_task_seconds";
+                r_peak = int "xsb_pred_peak_answers";
+              }
+        | _ -> None)
+      samples
     |> List.sort (fun a b ->
-           match compare b.row_cell.m_time a.row_cell.m_time with
-           | 0 -> (
-               match compare b.row_cell.m_answers a.row_cell.m_answers with
-               | 0 -> (
-                   match compare b.row_cell.m_calls a.row_cell.m_calls with
-                   | 0 -> compare a.row_pred b.row_pred
-                   | c -> c)
-               | c -> c)
-           | c -> c)
+           compare (b.r_time, b.r_answers, b.r_calls, a.r_pred)
+             (a.r_time, a.r_answers, a.r_calls, b.r_pred))
 
-  let pp_report ?internal ppf t =
-    let rows = rows ?internal t in
+  let dup_ratio r =
+    let total = r.r_answers + r.r_dup_answers in
+    if total = 0 then 0.0 else float_of_int r.r_dup_answers /. float_of_int total
+
+  let pp_report ppf registry =
+    let rows = rows registry in
     Format.fprintf ppf "%-20s %8s %8s %8s %6s %6s %8s %6s %10s@." "predicate" "calls"
       "subgoals" "answers" "dups" "dup%" "susp" "peak" "time(ms)";
     List.iter
-      (fun { row_pred = name, arity; row_cell = c } ->
-        Format.fprintf ppf "%-20s %8d %8d %8d %6d %5.1f%% %8d %6d %10.3f@."
-          (Printf.sprintf "%s/%d" name arity)
-          c.m_calls c.m_subgoals c.m_answers c.m_dup_answers
-          (100.0 *. dup_ratio c)
-          c.m_suspensions c.m_peak_table (1000.0 *. c.m_time))
+      (fun r ->
+        Format.fprintf ppf "%-20s %8d %8d %8d %6d %5.1f%% %8d %6d %10.3f@." r.r_pred r.r_calls
+          r.r_subgoals r.r_answers r.r_dup_answers (100.0 *. dup_ratio r) r.r_suspensions
+          r.r_peak (1000.0 *. r.r_time))
       rows;
     if rows = [] then Format.fprintf ppf "(no samples — was profiling enabled?)@."
 
-  let row_to_json { row_pred = name, arity; row_cell = c } =
+  let row_to_json r =
     Json.Obj
       [
-        ("pred", Json.String (Printf.sprintf "%s/%d" name arity));
-        ("calls", Json.Int c.m_calls);
-        ("subgoals", Json.Int c.m_subgoals);
-        ("answers", Json.Int c.m_answers);
-        ("dup_answers", Json.Int c.m_dup_answers);
-        ("dup_ratio", Json.Float (dup_ratio c));
-        ("suspensions", Json.Int c.m_suspensions);
-        ("resolutions", Json.Int c.m_resolutions);
-        ("peak_table", Json.Int c.m_peak_table);
-        ("time_ms", Json.Float (1000.0 *. c.m_time));
+        ("pred", Json.String r.r_pred);
+        ("calls", Json.Int r.r_calls);
+        ("subgoals", Json.Int r.r_subgoals);
+        ("answers", Json.Int r.r_answers);
+        ("dup_answers", Json.Int r.r_dup_answers);
+        ("dup_ratio", Json.Float (dup_ratio r));
+        ("suspensions", Json.Int r.r_suspensions);
+        ("resolutions", Json.Int r.r_resolutions);
+        ("peak_table", Json.Int r.r_peak);
+        ("time_ms", Json.Float (1000.0 *. r.r_time));
       ]
 
-  let report_to_json ?internal t = Json.List (List.map row_to_json (rows ?internal t))
+  let report_to_json registry = Json.List (List.map row_to_json (rows registry))
 end

@@ -1,10 +1,10 @@
 (** Observability for the SLG engine: a typed trace-event stream with
-    pluggable sinks, and a per-predicate profiling registry.
+    pluggable sinks, and the per-predicate profile.
 
-    The engine owns one {!Recorder.t} (events) and one {!Metrics.t}
-    (profiling counters) per environment; both are inert until a sink is
-    attached / profiling is enabled, so the disabled-path cost is a
-    single boolean read per emission site. *)
+    The engine owns one {!Recorder.t} (events) and one {!Profile.t}
+    (profile handles on a {!Metrics} registry) per environment; both
+    are inert until a sink is attached / profiling is enabled, so the
+    disabled-path cost is a single boolean read per emission site. *)
 
 (** {1 Events} *)
 
@@ -106,58 +106,62 @@ module Recorder : sig
       attached sink. *)
 end
 
-(** {1 Per-predicate metrics} *)
+(** {1 The per-predicate profile}
 
-module Metrics : sig
-  val clock : (unit -> float) ref
-  (** Time source for task timing, seconds. Defaults to the monotonic
-      {!Mclock.now} (durations survive NTP steps); injectable for
-      tests. *)
+    The engine's profile is a set of labelled series in a {!Metrics}
+    registry, one [pred="name/arity"] child per predicate:
+    [xsb_pred_{calls,subgoals,answers,dup_answers,suspensions,resolutions}_total]
+    counters, [xsb_pred_task_seconds] (inclusive seconds inside the
+    predicate's scheduler tasks) and [xsb_pred_peak_answers] (largest
+    answer table observed). Reports are rendered from a scrape of the
+    registry, so they always agree with [METRICS]. *)
 
-  type cell = {
-    mutable m_calls : int;
-    mutable m_subgoals : int;
-    mutable m_answers : int;
-    mutable m_dup_answers : int;
-    mutable m_suspensions : int;
-    mutable m_resolutions : int;
-    mutable m_time : float;  (** inclusive seconds inside scheduler tasks *)
-    mutable m_peak_table : int;
+module Profile : sig
+  type handles = {
+    calls : Metrics.Counter.t;
+    subgoals : Metrics.Counter.t;
+    answers : Metrics.Counter.t;
+    dup_answers : Metrics.Counter.t;
+    suspensions : Metrics.Counter.t;
+    resolutions : Metrics.Counter.t;
+    task_seconds : Metrics.Gauge.t;  (** grown with {!Metrics.Gauge.add} *)
+    peak_answers : Metrics.Gauge.t;  (** raised with {!Metrics.Gauge.set_max} *)
   }
 
   type t
+  (** A registry plus a cache of the handles of every predicate
+      recorded into it. *)
 
-  val create : unit -> t
+  val create : Metrics.t -> t
+  val registry : t -> Metrics.t
 
-  val enabled : t -> bool
-  (** The engine's fast-path guard for all metric updates. *)
+  val handles : t -> string * int -> handles
+  (** Find-or-register a predicate's series; one table probe once
+      cached. Predicates whose name starts with ['$'] (private query
+      tables) get handles that record nothing. *)
 
-  val set_enabled : t -> bool -> unit
-  val reset : t -> unit
+  val find : t -> string * int -> handles option
+  (** The cached handles, if the predicate was ever recorded. *)
 
-  val cell : t -> string * int -> cell
-  (** Find-or-create the counters of a predicate. *)
+  type row = {
+    r_pred : string;  (** ["name/arity"] *)
+    r_calls : int;
+    r_subgoals : int;
+    r_answers : int;
+    r_dup_answers : int;
+    r_suspensions : int;
+    r_resolutions : int;
+    r_time : float;  (** seconds *)
+    r_peak : int;
+  }
 
-  val find : t -> string * int -> cell option
+  val rows : Metrics.t -> row list
+  (** Every profiled predicate of the registry, read back through
+      {!Metrics.Exposition.validate}; sorted hottest-first (time, then
+      answers, then calls). *)
 
-  val calls : t -> string -> int -> int
-  (** [m_calls] of a predicate, 0 when never sampled. *)
-
-  val note_table_size : cell -> int -> unit
-  (** Raise [m_peak_table] to [n] if larger. *)
-
-  val dup_ratio : cell -> float
-  (** Duplicate answers as a fraction of all derived answers. *)
-
-  type row = { row_pred : string * int; row_cell : cell }
-
-  val rows : ?internal:bool -> t -> row list
-  (** Sorted hottest-first (time, then answers, then calls). Predicates
-      whose name starts with ['$'] (private query tables) are dropped
-      unless [~internal:true]. *)
-
-  val pp_report : ?internal:bool -> Format.formatter -> t -> unit
+  val pp_report : Format.formatter -> Metrics.t -> unit
   (** The [--profile] table. *)
 
-  val report_to_json : ?internal:bool -> t -> Json.t
+  val report_to_json : Metrics.t -> Json.t
 end

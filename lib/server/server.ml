@@ -30,7 +30,6 @@ type config = {
   promote_priority : int;
   failover_timeout_ms : int;
   peers : (string * int) list;
-  metrics_enabled : bool;
   slow_ms : int;
   slow_log : out_channel option;
 }
@@ -62,7 +61,6 @@ let default_config =
     promote_priority = 0;
     failover_timeout_ms = 3_000;
     peers = [];
-    metrics_enabled = true;
     slow_ms = 0;
     slow_log = None;
   }
@@ -175,14 +173,6 @@ type shared = {
   mutable sh_read_only : string option;  (* why mutations are refused *)
 }
 
-(* per-key (predicate or op) server-side aggregation for --profile *)
-type agg_cell = {
-  mutable g_requests : int;
-  mutable g_answers : int;
-  mutable g_steps : int;
-  mutable g_wall : float;
-}
-
 type t = {
   cfg : config;
   shared : shared option;
@@ -197,10 +187,7 @@ type t = {
   stopped : bool Atomic.t;
   req_counter : int Atomic.t;
   conn_counter : int Atomic.t;
-  served : int Atomic.t;
   log_m : Mutex.t;
-  agg : (string, agg_cell) Hashtbl.t;
-  agg_m : Mutex.t;
   registry : Xsb.Metrics.t;
   requests_total : Xsb.Metrics.Counter.t;
   op_hists : (string * Xsb.Metrics.Histogram.t) list;
@@ -217,7 +204,7 @@ type t = {
 }
 
 let port t = t.bound_port
-let requests_served t = Atomic.get t.served
+let requests_served t = Xsb.Metrics.Counter.value t.requests_total
 let journal t = Option.map (fun sh -> sh.sh_journal) t.shared
 let read_only t = match t.shared with Some sh -> sh.sh_read_only | None -> None
 let repl_listen_port t = Option.map Xsb_repl.Repl.Primary.port t.repl_primary
@@ -270,89 +257,63 @@ let metrics_text t conn =
   | None -> ());
   Xsb.Metrics.to_text t.registry ^ Xsb.Metrics.to_text snap
 
-(* --- the access log (JSONL through lib/obs's codec) --- *)
+(* --- the access and slow-query logs (JSONL through lib/obs's codec) --- *)
 
-let log_request t ~id ~conn_id ~op ~pred ~answers ~steps ~wall ~outcome =
-  Atomic.incr t.served;
+(* One line to a log. A failed write (a reader that went away, a full
+   disk) drops the line; it never fails the request or leaves [log_m]
+   held. *)
+let write_log t oc fields =
+  Mutex.protect t.log_m (fun () ->
+      try
+        output_string oc (Xsb.Json.to_string (Xsb.Json.Obj fields));
+        output_char oc '\n';
+        flush oc
+      with Sys_error _ -> ())
+
+(* [slow] gives the slow-query log's extra fields (the goal and the
+   engine's work delta); a request slower than --slow-ms is written there
+   as its access-log record plus those fields *)
+let log_request ?(slow = fun () -> []) t ~id ~conn_id ~op ~pred ~answers ~steps ~wall ~outcome =
   (* one increment per log line, so xsb_requests_total always equals
      the access-log line count *)
   Xsb.Metrics.Counter.incr t.requests_total;
   Xsb.Metrics.Counter.incr (outcome_counter t outcome);
   Xsb.Metrics.Histogram.observe (request_hist t op) wall;
-  (match t.cfg.access_log with
-  | None -> ()
-  | Some oc ->
-      let record =
-        Xsb.Json.Obj
-          [
-            (* microseconds since the epoch: the codec renders floats
-               with %.6g, far too coarse for a timestamp *)
-            ("ts_us", Xsb.Json.Int (int_of_float (now () *. 1e6)));
-            ("id", Xsb.Json.Int id);
-            ("conn", Xsb.Json.Int conn_id);
-            ("op", Xsb.Json.String op);
-            ("pred", Xsb.Json.String pred);
-            ("answers", Xsb.Json.Int answers);
-            ("steps", Xsb.Json.Int steps);
-            ("wall_us", Xsb.Json.Int (int_of_float (wall *. 1e6)));
-            ("outcome", Xsb.Json.String outcome);
-          ]
-      in
-      Mutex.lock t.log_m;
-      output_string oc (Xsb.Json.to_string record);
-      output_char oc '\n';
-      flush oc;
-      Mutex.unlock t.log_m);
-  if t.cfg.profile then begin
-    let key = if pred = "" then "op:" ^ op else pred in
-    Mutex.lock t.agg_m;
-    let cell =
-      match Hashtbl.find_opt t.agg key with
-      | Some c -> c
-      | None ->
-          let c = { g_requests = 0; g_answers = 0; g_steps = 0; g_wall = 0.0 } in
-          Hashtbl.add t.agg key c;
-          c
+  let slow_oc =
+    if t.cfg.slow_ms > 0 && wall *. 1000.0 >= float_of_int t.cfg.slow_ms then t.cfg.slow_log
+    else None
+  in
+  if Option.is_some t.cfg.access_log || Option.is_some slow_oc then begin
+    let record =
+      [
+        (* microseconds since the epoch: the codec renders floats
+           with %.6g, far too coarse for a timestamp *)
+        ("ts_us", Xsb.Json.Int (int_of_float (now () *. 1e6)));
+        ("id", Xsb.Json.Int id);
+        ("conn", Xsb.Json.Int conn_id);
+        ("op", Xsb.Json.String op);
+        ("pred", Xsb.Json.String pred);
+        ("answers", Xsb.Json.Int answers);
+        ("steps", Xsb.Json.Int steps);
+        ("wall_us", Xsb.Json.Int (int_of_float (wall *. 1e6)));
+        ("outcome", Xsb.Json.String outcome);
+      ]
     in
-    cell.g_requests <- cell.g_requests + 1;
-    cell.g_answers <- cell.g_answers + answers;
-    cell.g_steps <- cell.g_steps + steps;
-    cell.g_wall <- cell.g_wall +. wall;
-    Mutex.unlock t.agg_m
+    Option.iter (fun oc -> write_log t oc record) t.cfg.access_log;
+    Option.iter (fun oc -> write_log t oc (record @ slow ())) slow_oc
   end
 
-let agg_rows t =
-  Mutex.lock t.agg_m;
-  let rows = Hashtbl.fold (fun k c acc -> (k, c) :: acc) t.agg [] in
-  Mutex.unlock t.agg_m;
-  List.sort
-    (fun (_, a) (_, b) ->
-      match compare b.g_wall a.g_wall with 0 -> compare b.g_requests a.g_requests | c -> c)
-    rows
-
+(* The --profile table at drain: the engine's per-predicate rows (every
+   session profiled into the server's registry, closed ones included),
+   then per op the count and sum of its request-duration histogram *)
 let pp_profile ppf t =
-  let rows = agg_rows t in
-  Format.fprintf ppf "%-32s %10s %10s %12s %12s@." "predicate/op" "requests" "answers" "steps"
-    "wall-ms";
-  List.iter
-    (fun (key, c) ->
-      Format.fprintf ppf "%-32s %10d %10d %12d %12.3f@." key c.g_requests c.g_answers c.g_steps
-        (1000.0 *. c.g_wall))
-    rows
-
-let profile_json t =
-  Xsb.Json.List
-    (List.map
-       (fun (key, c) ->
-         Xsb.Json.Obj
-           [
-             ("key", Xsb.Json.String key);
-             ("requests", Xsb.Json.Int c.g_requests);
-             ("answers", Xsb.Json.Int c.g_answers);
-             ("steps", Xsb.Json.Int c.g_steps);
-             ("wall_ms", Xsb.Json.Float (1000.0 *. c.g_wall));
-           ])
-       (agg_rows t))
+  let open Xsb.Metrics.Histogram in
+  Xsb.Obs.Profile.pp_report ppf t.registry;
+  Format.fprintf ppf "%-20s %8s %10s@." "op" "requests" "wall(ms)";
+  List.filter (fun (_, h) -> count h > 0) t.op_hists
+  |> List.sort (fun (a, h) (b, g) -> compare (sum g, count g, a) (sum h, count h, b))
+  |> List.iter (fun (op, h) ->
+         Format.fprintf ppf "%-20s %8d %10.3f@." op (count h) (1000.0 *. sum h))
 
 (* --- request execution (worker side) --- *)
 
@@ -363,8 +324,6 @@ let pred_of_goal goal =
   | Xsb.Term.Struct (f, args) -> Printf.sprintf "%s/%d" f (Array.length args)
   | Xsb.Term.Atom a -> a ^ "/0"
   | _ -> ""
-
-let engine_steps conn = (Xsb.Session.stats conn.c_session).Xsb.Machine.st_steps
 
 (* --- promotion: replication standby -> writable primary --- *)
 
@@ -568,15 +527,11 @@ let send conn =
   if Buffer.length conn.c_reply > reply_keep then Buffer.reset conn.c_reply
   else Buffer.clear conn.c_reply
 
+(* Runs a request and renders its reply into [c_reply], which the
+   caller sends; returns (outcome, pred, answers) for the access log. *)
 let execute t (job : job) =
   let conn = job.j_conn in
   let req = job.j_req in
-  let t0 = !monotonic () in
-  let stats0 =
-    let s = Xsb.Session.stats conn.c_session in
-    (s.Xsb.Machine.st_subgoals, s.Xsb.Machine.st_answers, s.Xsb.Machine.st_subsumption_hits)
-  in
-  let steps0 = engine_steps conn in
   let eng = Xsb.Session.engine conn.c_session in
   let parse_goal text = Xsb.Parser.term_of_string ~ops:(Xsb.Database.ops (Xsb.Session.db conn.c_session)) text in
   (* (outcome, pred, answers) for the access log *)
@@ -877,70 +832,56 @@ let execute t (job : job) =
                     else finishing
                 | exception Xsb.Journal.Io_error { site; message } -> degrade site message)))
   in
-  (* the reply goes out only now: outside [sh_m], after any commit barrier *)
-  send conn;
-  let outcome, pred, answers = finishing in
-  let wall = !monotonic () -. t0 in
-  let steps = engine_steps conn - steps0 in
-  log_request t ~id:job.j_id ~conn_id:conn.c_id
-    ~op:(Protocol.op_name req.Protocol.op)
-    ~pred ~answers ~steps ~wall ~outcome;
-  (* the slow-query log: a structured line per request over --slow-ms,
-     correlated to the access log by request id, carrying the engine's
-     per-request work delta *)
-  if t.cfg.slow_ms > 0 && wall *. 1000.0 >= float_of_int t.cfg.slow_ms then
-    match t.cfg.slow_log with
-    | None -> ()
-    | Some oc ->
-        let subgoals0, answers0, subs0 = stats0 in
-        let s = Xsb.Session.stats conn.c_session in
-        let goal = req.Protocol.payload in
-        let goal =
-          if String.length goal > 512 then String.sub goal 0 512 ^ "..." else goal
-        in
-        let record =
-          Xsb.Json.Obj
-            [
-              ("ts_us", Xsb.Json.Int (int_of_float (now () *. 1e6)));
-              ("id", Xsb.Json.Int job.j_id);
-              ("conn", Xsb.Json.Int conn.c_id);
-              ("op", Xsb.Json.String (Protocol.op_name req.Protocol.op));
-              ("goal", Xsb.Json.String goal);
-              ("pred", Xsb.Json.String pred);
-              ("outcome", Xsb.Json.String outcome);
-              ("wall_us", Xsb.Json.Int (int_of_float (wall *. 1e6)));
-              ("steps", Xsb.Json.Int steps);
-              ("subgoals", Xsb.Json.Int (s.Xsb.Machine.st_subgoals - subgoals0));
-              ("engine_answers", Xsb.Json.Int (s.Xsb.Machine.st_answers - answers0));
-              ( "subsumption_hits",
-                Xsb.Json.Int (s.Xsb.Machine.st_subsumption_hits - subs0) );
-              ("answers", Xsb.Json.Int answers);
-            ]
-        in
-        Mutex.lock t.log_m;
-        output_string oc (Xsb.Json.to_string record);
-        output_char oc '\n';
-        flush oc;
-        Mutex.unlock t.log_m
+  finishing
 
-(* catch-all so one poisoned request can never kill a worker *)
+(* Runs one request: its reply is sent, and it is logged, exactly once.
+   An exception out of [execute] (one poisoned request must never kill a
+   worker) happens before anything is sent, so it becomes the one ERR
+   reply. *)
 let execute_safe t job =
-  Atomic.incr t.in_flight;
-  (try Fun.protect ~finally:(fun () -> Atomic.decr t.in_flight) (fun () -> execute t job)
-   with e ->
-     add_reply job.j_conn
-       (Protocol.Err (Protocol.Exec_error, "internal error: " ^ Printexc.to_string e));
-     send job.j_conn;
-     log_request t ~id:job.j_id ~conn_id:job.j_conn.c_id
-       ~op:(Protocol.op_name job.j_req.Protocol.op)
-       ~pred:"" ~answers:0 ~steps:0
-       ~wall:(!monotonic () -. job.j_received)
-       ~outcome:"exec_error");
   let conn = job.j_conn in
-  Mutex.lock conn.c_m;
-  conn.c_job_done <- true;
-  Condition.signal conn.c_done;
-  Mutex.unlock conn.c_m
+  let req = job.j_req in
+  Atomic.incr t.in_flight;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.decr t.in_flight;
+      Mutex.lock conn.c_m;
+      conn.c_job_done <- true;
+      Condition.signal conn.c_done;
+      Mutex.unlock conn.c_m)
+    (fun () ->
+      let t0 = !monotonic () in
+      let s = Xsb.Session.stats conn.c_session in
+      let steps0 = s.Xsb.Machine.st_steps
+      and subgoals0 = s.Xsb.Machine.st_subgoals
+      and answers0 = s.Xsb.Machine.st_answers
+      and subs0 = s.Xsb.Machine.st_subsumption_hits in
+      let outcome, pred, answers =
+        try execute t job
+        with e ->
+          Buffer.clear conn.c_reply;
+          add_reply conn
+            (Protocol.Err (Protocol.Exec_error, "internal error: " ^ Printexc.to_string e));
+          ("exec_error", "", 0)
+      in
+      (* the reply goes out only now: outside [sh_m], after any commit barrier *)
+      send conn;
+      let wall = !monotonic () -. t0 in
+      (* the slow-query log's line is correlated to the access log by
+         request id and carries the engine's per-request work delta *)
+      let slow () =
+        let goal = req.Protocol.payload in
+        let goal = if String.length goal > 512 then String.sub goal 0 512 ^ "..." else goal in
+        [
+          ("goal", Xsb.Json.String goal);
+          ("subgoals", Xsb.Json.Int (s.Xsb.Machine.st_subgoals - subgoals0));
+          ("engine_answers", Xsb.Json.Int (s.Xsb.Machine.st_answers - answers0));
+          ("subsumption_hits", Xsb.Json.Int (s.Xsb.Machine.st_subsumption_hits - subs0));
+        ]
+      in
+      log_request t ~slow ~id:job.j_id ~conn_id:conn.c_id
+        ~op:(Protocol.op_name req.Protocol.op)
+        ~pred ~answers ~steps:(s.Xsb.Machine.st_steps - steps0) ~wall ~outcome)
 
 let worker_loop t =
   let rec loop () =
@@ -1031,6 +972,7 @@ let make_conn t fd =
     | Some sh -> sh.sh_session
     | None ->
         let session = Xsb.Session.create ?scheduling:t.cfg.scheduling () in
+        if t.cfg.profile then Xsb.Session.set_profiling ~registry:t.registry session true;
         List.iter (fun text -> Xsb.Session.consult session text) t.preload_texts;
         session
   in
@@ -1103,6 +1045,7 @@ let start cfg =
     invalid_arg "Server.start: replica_of requires data_dir";
   if cfg.repl_port <> None && cfg.data_dir = None then
     invalid_arg "Server.start: repl_port requires data_dir";
+  let registry = Xsb.Metrics.create () in
   let shared =
     match cfg.data_dir with
     | None -> None
@@ -1110,6 +1053,7 @@ let start cfg =
         (* preloads go in BEFORE the journal opens: they are program
            text, not journaled state, and recovery replays on top *)
         let session = Xsb.Session.create ?scheduling:cfg.scheduling () in
+        if cfg.profile then Xsb.Session.set_profiling ~registry session true;
         List.iter (fun text -> Xsb.Session.consult session text) preload_texts;
         let journal = Xsb.Journal.open_ (journal_config cfg dir) (Xsb.Session.db session) in
         let read_only =
@@ -1152,8 +1096,6 @@ let start cfg =
     match Unix.getsockname listen_fd with Unix.ADDR_INET (_, p) -> p | _ -> cfg.port
   in
   let stop_rd, stop_wr = Unix.pipe ~cloexec:true () in
-  let registry = Xsb.Metrics.create () in
-  Xsb.Metrics.set_enabled registry cfg.metrics_enabled;
   let requests_total =
     Xsb.Metrics.counter registry
       ~help:"Requests finished (one per access-log line, refusals included)."
@@ -1196,10 +1138,7 @@ let start cfg =
       stopped = Atomic.make false;
       req_counter = Atomic.make 0;
       conn_counter = Atomic.make 0;
-      served = Atomic.make 0;
       log_m = Mutex.create ();
-      agg = Hashtbl.create 16;
-      agg_m = Mutex.create ();
       registry;
       requests_total;
       op_hists;

@@ -29,7 +29,10 @@ type config = {
   access_log : out_channel option;
       (** one JSON object per request: ts, id, conn, op, pred, answers,
           steps, wall_us, outcome *)
-  profile : bool;  (** aggregate per-predicate server-side (see {!pp_profile}) *)
+  profile : bool;
+      (** profile every session's engine (the shared durable one, or each
+          connection's) into the server's {!registry}: [METRICS] then
+          carries the [xsb_pred_*] series, and {!pp_profile} renders them *)
   data_dir : string option;
       (** durable mode: every connection shares ONE session whose
           mutations are journaled here and recovered on restart.
@@ -73,9 +76,6 @@ type config = {
       (** client endpoints ([host:port]) of the other nodes in the
           topology — probed via ROLE during failover, and served back
           to clients for [--endpoints] discovery *)
-  metrics_enabled : bool;
-      (** [false] turns every metrics record path into a boolean read —
-          the control arm when measuring instrumentation overhead *)
   slow_ms : int;  (** slow-query threshold in milliseconds; 0 disables *)
   slow_log : out_channel option;
       (** one JSON object per request slower than [slow_ms]: ts, id
@@ -86,7 +86,7 @@ type config = {
 
 val default_config : config
 (** Loopback, port 0, 4 workers, queue 64, 5 s / 10 M step budgets,
-    no preload, no log, no profile; metrics on, slow-query log off. *)
+    no preload, no log, no profile, slow-query log off. *)
 
 type t
 
@@ -105,7 +105,7 @@ val stop : t -> unit
     until the drain completes. *)
 
 val requests_served : t -> int
-(** Total requests executed or refused so far. *)
+(** Total requests executed or refused so far: [xsb_requests_total]. *)
 
 val journal : t -> Xsb.Journal.t option
 (** The durable journal, when running with [data_dir]. *)
@@ -131,8 +131,11 @@ val registry : t -> Xsb.Metrics.t
     increment per access-log line), [xsb_requests_by_outcome_total],
     per-op [xsb_request_duration_seconds] histograms, and the
     [xsb_in_flight_requests] / [xsb_queue_depth] / [xsb_connections]
-    liveness gauges. The METRICS wire op renders this registry plus a
-    fresh engine/journal snapshot as one Prometheus text exposition. *)
+    liveness gauges, and with [profile] the engines' per-predicate
+    [xsb_pred_*] series. The METRICS wire op renders this registry plus
+    a fresh engine/journal snapshot as one Prometheus text exposition.
+    [Xsb.Metrics.set_enabled (registry t) false] turns every record path
+    into a boolean read (the control arm of an overhead measurement). *)
 
 val monotonic : (unit -> float) ref
 (** The clock used for latency measurement and deadlines —
@@ -140,7 +143,7 @@ val monotonic : (unit -> float) ref
     Wall-clock time is used only for log timestamps. *)
 
 val pp_profile : Format.formatter -> t -> unit
-(** The [--profile] aggregate: per predicate (queries) and per op,
-    request count, answers, steps and wall time, hottest first. *)
-
-val profile_json : t -> Xsb.Json.t
+(** The [--profile] table, read back from a scrape of {!registry}: the
+    per-predicate profile rows (see {!Xsb.Obs.Profile.pp_report}), then
+    per op the request count and wall time of
+    [xsb_request_duration_seconds{op}], hottest first. *)

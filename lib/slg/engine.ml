@@ -242,21 +242,27 @@ let set_scheduling t strategy = t.env.Machine.scheduling <- strategy
 let set_max_steps t n = t.env.Machine.max_steps <- n
 
 let recorder t = t.env.Machine.obs
-let metrics t = t.env.Machine.metrics
+let metrics t = Xsb_obs.Obs.Profile.registry t.env.Machine.profile
 
 let add_sink t sink = Xsb_obs.Obs.Recorder.attach t.env.Machine.obs sink
 let clear_sinks t = Xsb_obs.Obs.Recorder.clear t.env.Machine.obs
 
-let set_profiling t flag =
-  let m = t.env.Machine.metrics in
-  if flag && not (Xsb_obs.Obs.Metrics.enabled m) then Xsb_obs.Obs.Metrics.reset m;
-  Xsb_obs.Obs.Metrics.set_enabled m flag
+(* enabling records into [registry], or into a fresh registry when
+   profiling was off; disabling keeps the samples readable *)
+let set_profiling ?registry t flag =
+  let env = t.env in
+  if flag && (Option.is_some registry || not env.Machine.profiling) then
+    env.Machine.profile <-
+      Xsb_obs.Obs.Profile.create
+        (match registry with Some r -> r | None -> Xsb_obs.Metrics.create ());
+  env.Machine.profiling <- flag
 
-(* call counting is the profiling registry's m_calls column *)
-let set_count_calls = set_profiling
-let call_count t name arity = Xsb_obs.Obs.Metrics.calls t.env.Machine.metrics name arity
+let call_count t name arity =
+  match Xsb_obs.Obs.Profile.find t.env.Machine.profile (name, arity) with
+  | Some h -> Xsb_obs.Metrics.Counter.value h.calls
+  | None -> 0
 
-let pp_profile ?internal ppf t = Xsb_obs.Obs.Metrics.pp_report ?internal ppf (metrics t)
+let pp_profile ppf t = Xsb_obs.Obs.Profile.pp_report ppf (metrics t)
 let pp_table_dump ppf t = Machine.pp_table_dump ppf t.env
 
 let stats t = t.env.Machine.stats

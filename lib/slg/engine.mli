@@ -110,23 +110,25 @@ val add_sink : t -> Xsb_obs.Obs.Sink.t -> unit
 val clear_sinks : t -> unit
 (** Detach every sink; tracing returns to zero cost. *)
 
-val metrics : t -> Xsb_obs.Obs.Metrics.t
+val metrics : t -> Xsb_obs.Metrics.t
+(** The registry the per-predicate profile records into (see
+    {!Xsb_obs.Obs.Profile}). *)
 
-val set_profiling : t -> bool -> unit
-(** Enable the per-predicate profiling registry (calls, answers,
-    duplicate ratio, suspensions, resolutions, task wall time, peak
-    answer-table size). Enabling from a disabled state resets the
-    registry. *)
-
-val set_count_calls : t -> bool -> unit
-(** Alias of {!set_profiling}, kept for the paper's call-count
-    experiments. *)
+val set_profiling : ?registry:Xsb_obs.Metrics.t -> t -> bool -> unit
+(** Enable the per-predicate profile (calls, subgoals, answers,
+    duplicates, suspensions, resolutions, task wall time, peak
+    answer-table size) as [xsb_pred_*] series. With [~registry] it
+    records there (sessions sharing a registry add up); without, enabling
+    from a disabled state starts a fresh registry of its own. Disabling
+    stops recording and keeps the samples readable. *)
 
 val call_count : t -> string -> int -> int
-(** Number of calls made to a predicate since profiling was enabled. *)
+(** Number of calls made to a predicate since profiling was enabled
+    (every session recording into the same registry counts). *)
 
-val pp_profile : ?internal:bool -> Format.formatter -> t -> unit
-(** The sortable [--profile] report, hottest predicate first. *)
+val pp_profile : Format.formatter -> t -> unit
+(** The sortable [--profile] report of {!metrics}, hottest predicate
+    first. *)
 
 val pp_table_dump : Format.formatter -> t -> unit
 (** The [table_dump/0] report of live table space. *)

@@ -282,8 +282,10 @@ type env = {
   mutable stop : (unit -> bool) option;
   obs : Obs.Recorder.t;
       (* typed trace-event stream; inert until a sink is attached *)
-  metrics : Obs.Metrics.t;
-      (* per-predicate profiling registry; inert until enabled *)
+  mutable profiling : bool;  (* the per-predicate profile records *)
+  mutable profile : Obs.Profile.t;
+      (* per-predicate profile handles on a metrics registry; written
+         only while [profiling] *)
 }
 
 type eval = {
@@ -331,7 +333,8 @@ let create_env ?(mode = Stratified) ?scheduling db =
     captured_incomplete = None;
     stop = None;
     obs = Obs.Recorder.create ();
-    metrics = Obs.Metrics.create ();
+    profiling = false;
+    profile = Obs.Profile.create (Xsb_obs.Metrics.create ());
   }
 
 let new_eval env parent =
@@ -391,7 +394,7 @@ let schedule_drain ev consumer =
 (* Observability: event emission and per-predicate metrics.
 
    Every emission site is guarded on [Obs.Recorder.active] /
-   [Obs.Metrics.enabled] — one boolean read — so the hot path pays
+   [env.profiling] — one boolean read — so the hot path pays
    nothing while tracing and profiling are off. Term rendering (the
    [call] field) happens only on the active path. *)
 
@@ -411,15 +414,15 @@ let emit_goal env ~depth pred kind call =
 
 let key_str key = Term.to_string (Canon.to_term key)
 
-let metrics_on env = Obs.Metrics.enabled env.metrics
-let mcell env key = Obs.Metrics.cell env.metrics key
+module Counter = Xsb_obs.Metrics.Counter
+
+(* a predicate's profile handles: one table probe; callers check
+   [env.profiling] first *)
+let prof env key = Obs.Profile.handles env.profile key
 
 (* a predicate call: the profile's call count and the Call event *)
 let note_call env ~depth pred goal =
-  if metrics_on env then begin
-    let c = mcell env pred in
-    c.Obs.Metrics.m_calls <- c.Obs.Metrics.m_calls + 1
-  end;
+  if env.profiling then Counter.incr (prof env pred).calls;
   if obs_on env then emit_goal env ~depth pred Obs.Event.Call (Term.to_string goal)
 
 (* ------------------------------------------------------------------ *)
@@ -490,10 +493,7 @@ let create_table ev key pred_key =
   | _ -> ());
   ev.e_created <- sub :: ev.e_created;
   ev.e_scc_dirty <- true;
-  if metrics_on env then begin
-    let c = mcell env pred_key in
-    c.Obs.Metrics.m_subgoals <- c.Obs.Metrics.m_subgoals + 1
-  end;
+  if env.profiling then Counter.incr (prof env pred_key).subgoals;
   if obs_on env then
     emit_sub env ~depth:ev.e_depth sub Obs.Event.New_subgoal (key_str key);
   sub
@@ -1039,7 +1039,7 @@ and solve_atom ev ~det ~owner ~template ~delays ~barrier name goal rest =
       pp_table_dump ev.e_env.out ev.e_env;
       continue ev ~det ~owner ~template ~delays ~barrier rest
   | "profile" ->
-      Obs.Metrics.pp_report ev.e_env.out ev.e_env.metrics;
+      Obs.Profile.pp_report ev.e_env.out (Obs.Profile.registry ev.e_env.profile);
       continue ev ~det ~owner ~template ~delays ~barrier rest
   | "halt" -> error "halt/0 is not available inside the library engine"
   | "abolish_all_tables" ->
@@ -1293,15 +1293,13 @@ and solve_untabled ev ~det ~owner ~template ~delays ~barrier pred goal rest =
   let b = fresh_barrier env in
   let endscope = Term.Struct ("$endscope", [| Term.Int barrier |]) in
   let candidates = Pred.lookup pred (args_of goal) in
-  let cell = if metrics_on env then Some (mcell env (pred_key_of goal)) else None in
+  let h = if env.profiling then Some (prof env (pred_key_of goal)) else None in
   with_cut_catch env b (fun () ->
       List.iter
         (fun clause ->
           let m = Trail.mark env.trail in
           env.stats.st_resolutions <- env.stats.st_resolutions + 1;
-          (match cell with
-          | Some c -> c.Obs.Metrics.m_resolutions <- c.Obs.Metrics.m_resolutions + 1
-          | None -> ());
+          (match h with Some h -> Counter.incr h.resolutions | None -> ());
           let head, body = Term.copy2 clause.Pred.head clause.Pred.body in
           if Unify.unify env.trail goal head then
             solve ev ~det ~owner ~template ~delays ~barrier:b (body :: endscope :: rest);
@@ -1360,10 +1358,7 @@ and consume_inline ev ~det ~owner ~template ~delays ~barrier ~skel sub goal rest
 and register_consumer ?filter ev sub ~owner ~template ~delays goal rest =
   let env = ev.e_env in
   env.stats.st_suspensions <- env.stats.st_suspensions + 1;
-  if metrics_on env then begin
-    let c = mcell env sub.s_pred in
-    c.Obs.Metrics.m_suspensions <- c.Obs.Metrics.m_suspensions + 1
-  end;
+  if env.profiling then Counter.incr (prof env sub.s_pred).suspensions;
   if obs_on env then
     emit_sub env ~depth:ev.e_depth sub Obs.Event.Suspend (Term.to_string goal);
   let consumer =
@@ -1599,10 +1594,7 @@ and emit_answer ev owner template delays =
 and note_dup_answer ev owner key =
   let env = ev.e_env in
   env.stats.st_dup_answers <- env.stats.st_dup_answers + 1;
-  if metrics_on env then begin
-    let c = mcell env owner.s_pred in
-    c.Obs.Metrics.m_dup_answers <- c.Obs.Metrics.m_dup_answers + 1
-  end;
+  if env.profiling then Counter.incr (prof env owner.s_pred).dup_answers;
   if obs_on env then
     emit_sub env ~depth:ev.e_depth owner Obs.Event.Dup_answer (key_str key)
 
@@ -1610,10 +1602,10 @@ and note_dup_answer ev owner key =
 and note_new_answer ev owner key =
   let env = ev.e_env in
   env.stats.st_answers <- env.stats.st_answers + 1;
-  if metrics_on env then begin
-    let c = mcell env owner.s_pred in
-    c.Obs.Metrics.m_answers <- c.Obs.Metrics.m_answers + 1;
-    Obs.Metrics.note_table_size c (answer_count owner)
+  if env.profiling then begin
+    let h = prof env owner.s_pred in
+    Counter.incr h.answers;
+    Xsb_obs.Metrics.Gauge.set_max h.peak_answers (float_of_int (answer_count owner))
   end;
   if obs_on env then emit_sub env ~depth:ev.e_depth owner Obs.Event.Answer (key_str key);
   schedule_drains ev owner;
@@ -1726,15 +1718,13 @@ and run_task ev task =
       note_dyn_read sub pred;
       let b = fresh_barrier env in
       let candidates = Pred.lookup pred (args_of pattern) in
-      let cell = if metrics_on env then Some (mcell env sub.s_pred) else None in
+      let h = if env.profiling then Some (prof env sub.s_pred) else None in
       with_cut_catch env b (fun () ->
           List.iter
             (fun clause ->
               let m = Trail.mark env.trail in
               env.stats.st_resolutions <- env.stats.st_resolutions + 1;
-              (match cell with
-              | Some c -> c.Obs.Metrics.m_resolutions <- c.Obs.Metrics.m_resolutions + 1
-              | None -> ());
+              (match h with Some h -> Counter.incr h.resolutions | None -> ());
               let head, body = Term.copy2 clause.Pred.head clause.Pred.body in
               if Unify.unify env.trail pattern head then
                 solve ev ~det:false ~owner:sub ~template:pattern ~delays:[] ~barrier:b [ body ];
@@ -1837,15 +1827,14 @@ and run_eval ?stop ev =
       | Some task ->
           let owner = task_owner task in
           owner.s_tasks <- owner.s_tasks - 1;
-          (if metrics_on env then begin
+          (if env.profiling then begin
              (* inclusive wall time: nested evaluations run inside a task
                 also bill their own predicates *)
-             let cell = mcell env owner.s_pred in
-             let t0 = !Obs.Metrics.clock () in
+             let h = prof env owner.s_pred in
+             let t0 = Xsb_obs.Mclock.now () in
              Fun.protect
                ~finally:(fun () ->
-                 cell.Obs.Metrics.m_time <-
-                   cell.Obs.Metrics.m_time +. (!Obs.Metrics.clock () -. t0))
+                 Xsb_obs.Metrics.Gauge.add h.task_seconds (Xsb_obs.Mclock.now () -. t0))
                (fun () -> run_task ev task)
            end
            else run_task ev task);

@@ -191,8 +191,10 @@ type env = {
   mutable stop : (unit -> bool) option;
   obs : Xsb_obs.Obs.Recorder.t;
       (** typed trace-event stream; inert until a sink is attached *)
-  metrics : Xsb_obs.Obs.Metrics.t;
-      (** per-predicate profiling registry; inert until enabled *)
+  mutable profiling : bool;  (** the per-predicate profile records *)
+  mutable profile : Xsb_obs.Obs.Profile.t;
+      (** per-predicate profile handles on a metrics registry; written
+          only while [profiling] *)
 }
 
 type eval = {
@@ -238,8 +240,9 @@ val completed_call : env -> Term.t -> subgoal option
     builtins, call-subsumption hits, incomplete or conditional tables). *)
 
 val note_call : env -> depth:int -> string * int -> Term.t -> unit
-(** Count a call of the predicate in the profile ([m_calls]) and emit
-    its [Call] trace event, as every evaluated predicate call does. *)
+(** Count a call of the predicate in the profile
+    ([xsb_pred_calls_total]) and emit its [Call] trace event, as every
+    evaluated predicate call does. *)
 
 val step : env -> unit
 (** Charge one evaluation step; raises {!Step_limit} once [max_steps]

@@ -162,7 +162,7 @@ let cases =
         List.iter
           (fun h ->
             let s = session ("win(X) :- move(X,Y), \\+ win(Y).\n" ^ binary_tree_moves h) in
-            Engine.set_count_calls (Session.engine s) true;
+            Engine.set_profiling (Session.engine s) true;
             ignore (Session.succeeds s "win(1)");
             let calls = Engine.call_count (Session.engine s) "win" 1 in
             let n = h - 1 in

@@ -350,4 +350,31 @@ let heap_cases =
           Alcotest.failf "live table heap %d B vs accounted %d B (ratio %.2f)" live counted ratio);
   ]
 
-let suite = suite @ heap_cases
+(* the --profile report parses a scrape of a registry other threads are
+   recording into: a histogram observed mid-render must still scrape as
+   a valid exposition (+Inf bucket = _count) *)
+let race_cases =
+  [
+    t "scrapes racing histogram observations stay valid" `Quick (fun () ->
+        let r = M.create () in
+        let h = M.histogram r ~help:"Raced." "race_seconds" in
+        let stop = Atomic.make false in
+        let observer =
+          Thread.create
+            (fun () ->
+              while not (Atomic.get stop) do
+                M.Histogram.observe h 0.001
+              done)
+            ()
+        in
+        let invalid = ref 0 in
+        let deadline = Unix.gettimeofday () +. 1.0 in
+        while Unix.gettimeofday () < deadline do
+          match M.Exposition.validate (M.to_text r) with Ok _ -> () | Error _ -> incr invalid
+        done;
+        Atomic.set stop true;
+        Thread.join observer;
+        check_int "invalid scrapes" 0 !invalid);
+  ]
+
+let suite = suite @ heap_cases @ race_cases

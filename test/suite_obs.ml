@@ -193,6 +193,17 @@ let builtin_cases =
 
 (* --- the profiling registry --- *)
 
+(* one series of the profile, read back from a scrape of the registry *)
+let series m name pred =
+  match Metrics.Exposition.validate (Metrics.to_text m) with
+  | Error why -> Alcotest.failf "invalid exposition: %s" why
+  | Ok samples -> (
+      match Metrics.Exposition.find ~labels:[ ("pred", pred) ] samples name with
+      | Some v -> v
+      | None -> Alcotest.failf "no profile series %s{pred=%S}" name pred)
+
+let count m name pred = int_of_float (series m name pred)
+
 (* satellite (f): golden --profile rows for the fixed win/not-win chain,
    identical under Local and Batched scheduling (completion work is
    strategy-independent on this program; only answer draining differs) *)
@@ -201,29 +212,22 @@ let profile_golden scheduling () =
   Session.set_profiling s true;
   check_bool "win(1) fails" true (Session.query s "win(1)" = []);
   let m = Session.metrics s in
-  let cell name arity =
-    match Obs.Metrics.find m (name, arity) with
-    | Some c -> c
-    | None -> Alcotest.failf "no profile row for %s/%d" name arity
-  in
-  let win = cell "win" 1 and move = cell "move" 2 in
-  check_int "win/1 calls" 1 win.Obs.Metrics.m_calls;
-  check_int "win/1 subgoals (one per position)" 5 win.Obs.Metrics.m_subgoals;
-  check_int "win/1 answers (positions 2 and 4)" 2 win.Obs.Metrics.m_answers;
-  check_int "win/1 duplicate answers" 0 win.Obs.Metrics.m_dup_answers;
-  check_int "win/1 peak table size" 1 win.Obs.Metrics.m_peak_table;
-  check_int "move/2 calls" 5 move.Obs.Metrics.m_calls;
-  check_int "move/2 answers (never tabled)" 0 move.Obs.Metrics.m_answers;
-  check_bool "win/1 some task time sampled" true (win.Obs.Metrics.m_time >= 0.);
+  check_int "win/1 calls" 1 (count m "xsb_pred_calls_total" "win/1");
+  check_int "win/1 subgoals (one per position)" 5 (count m "xsb_pred_subgoals_total" "win/1");
+  check_int "win/1 answers (positions 2 and 4)" 2 (count m "xsb_pred_answers_total" "win/1");
+  check_int "win/1 duplicate answers" 0 (count m "xsb_pred_dup_answers_total" "win/1");
+  check_int "win/1 peak table size" 1 (count m "xsb_pred_peak_answers" "win/1");
+  check_int "move/2 calls" 5 (count m "xsb_pred_calls_total" "move/2");
+  check_int "move/2 answers (never tabled)" 0 (count m "xsb_pred_answers_total" "move/2");
+  check_bool "win/1 some task time sampled" true (series m "xsb_pred_task_seconds" "win/1" >= 0.);
   (* the report ranks win/1 (all the answers and time) above move/2 *)
-  match Obs.Metrics.rows m with
-  | { Obs.Metrics.row_pred = ("win", 1); _ } :: rest ->
+  match Obs.Profile.rows m with
+  | { Obs.Profile.r_pred = "win/1"; _ } :: rest ->
       check_bool "move/2 also reported" true
-        (List.exists (fun r -> r.Obs.Metrics.row_pred = ("move", 2)) rest)
+        (List.exists (fun r -> r.Obs.Profile.r_pred = "move/2") rest)
   | rows ->
       Alcotest.failf "expected win/1 first, got [%s]"
-        (String.concat "; "
-           (List.map (fun r -> fst r.Obs.Metrics.row_pred) rows))
+        (String.concat "; " (List.map (fun r -> r.Obs.Profile.r_pred) rows))
 
 let profile_cases =
   [
@@ -236,20 +240,34 @@ let profile_cases =
         Session.set_profiling s true;
         check_int "4 answers" 4 (Session.count s "path(1,X)");
         let m = Session.metrics s in
-        let path =
-          match Obs.Metrics.find m ("path", 2) with
-          | Some c -> c
-          | None -> Alcotest.fail "no path/2 row"
+        let dups = count m "xsb_pred_dup_answers_total" "path/2" in
+        check_bool "cycle rederives answers" true (dups > 0);
+        let ratio =
+          float_of_int dups /. float_of_int (dups + count m "xsb_pred_answers_total" "path/2")
         in
-        check_bool "cycle rederives answers" true (path.Obs.Metrics.m_dup_answers > 0);
-        let ratio = Obs.Metrics.dup_ratio path in
         check_bool "ratio in (0,1)" true (ratio > 0. && ratio < 1.);
-        match Obs.Metrics.report_to_json m with
-        | Json.List (Json.Obj fields :: _) ->
+        match Obs.Profile.report_to_json m with
+        | Json.List (Json.Obj fields :: _ as rows) ->
             check_bool "rows carry predicate names" true
               (match List.assoc_opt "pred" fields with
               | Some (Json.String _) -> true
-              | _ -> false)
+              | _ -> false);
+            check_bool "path/2's row carries its dup ratio" true
+              (List.mem
+                 (Json.Obj
+                    [
+                      ("pred", Json.String "path/2");
+                      ("calls", Json.Int (count m "xsb_pred_calls_total" "path/2"));
+                      ("subgoals", Json.Int (count m "xsb_pred_subgoals_total" "path/2"));
+                      ("answers", Json.Int (count m "xsb_pred_answers_total" "path/2"));
+                      ("dup_answers", Json.Int dups);
+                      ("dup_ratio", Json.Float ratio);
+                      ("suspensions", Json.Int (count m "xsb_pred_suspensions_total" "path/2"));
+                      ("resolutions", Json.Int (count m "xsb_pred_resolutions_total" "path/2"));
+                      ("peak_table", Json.Int (count m "xsb_pred_peak_answers" "path/2"));
+                      ("time_ms", Json.Float (1000.0 *. series m "xsb_pred_task_seconds" "path/2"));
+                    ])
+                 rows)
         | _ -> Alcotest.fail "report_to_json must be a list of objects");
     t "set_profiling off stops sampling; re-enabling resets" `Quick (fun () ->
         let s = session tc_cycle in
@@ -309,4 +327,28 @@ let reset_cases =
         check_int "resolutions reset" 0 st.Machine.st_resolutions);
   ]
 
-let suite = json_cases @ jsonl_cases @ builtin_cases @ profile_cases @ reset_cases
+(* --- private query tables stay out of the profile --- *)
+
+let series_count m =
+  match Metrics.Exposition.validate (Metrics.to_text m) with
+  | Ok samples -> List.length samples
+  | Error why -> Alcotest.failf "invalid exposition: %s" why
+
+let query_table_cases =
+  [
+    t "a profiled session's series do not grow with its queries" `Quick (fun () ->
+        let s = session tc_cycle in
+        Session.set_profiling s true;
+        check_int "4 answers" 4 (Session.count s "path(1,X)");
+        let m = Session.metrics s in
+        let before = series_count m in
+        for i = 1 to 200 do
+          ignore (Session.count s (Printf.sprintf "path(%d,X)" (1 + (i mod 4))))
+        done;
+        check_int "no series for the 200 $query tables" before (series_count m);
+        check_bool "the queries were counted" true
+          (Engine.call_count (Session.engine s) "path" 2 > 200));
+  ]
+
+let suite =
+  json_cases @ jsonl_cases @ builtin_cases @ profile_cases @ reset_cases @ query_table_cases

@@ -882,8 +882,8 @@ let metrics_cases =
         check_int "attempts without cap" 11 !attempts');
     t "METRICS is idempotent (retryable); metrics off leaves zero counters" `Quick (fun () ->
         check_bool "idempotent" true (Client.idempotent Protocol.Metrics);
-        let cfg = { Server.default_config with metrics_enabled = false } in
-        with_server ~cfg (fun server ->
+        with_server (fun server ->
+            Xsb.Metrics.set_enabled (Server.registry server) false;
             with_client server (fun c ->
                 ignore (ok (Client.ping c));
                 let text = ok (Client.metrics_retry c) in
@@ -897,7 +897,133 @@ let metrics_cases =
             ignore server));
   ]
 
+(* --- a log write that fails (its reader is gone, the disk is full)
+   drops the line; the request is still answered once and logged once,
+   and the worker lives on --- *)
+
+(* an out_channel every write to fails with EPIPE: the pipe's reader is
+   closed (the server ignores SIGPIPE) *)
+let broken_channel () =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.close rd;
+  Unix.out_channel_of_descr wr
+
+(* PINGs on a raw connection, each reply read within 5 s; a reply that
+   never comes is reported, not waited for *)
+let ping_replies port n =
+  let fd = raw_connect port in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      List.init n (fun _ ->
+          match
+            Protocol.write_request oc (Protocol.request Protocol.Ping "");
+            Protocol.read_reply ic
+          with
+          | Protocol.Ok_ payload -> payload
+          | Protocol.Err (_, message) -> "ERR " ^ message
+          | Protocol.Answer _ | Protocol.Done _ -> "an answer frame"
+          | exception e -> "no reply: " ^ Printexc.to_string e))
+
+let survives_broken_log cfg () =
+  let server = Server.start { cfg with port = 0; workers = 2 } in
+  let first = ping_replies (Server.port server) 3 in
+  let second = ping_replies (Server.port server) 1 in
+  if first <> [ "pong"; "pong"; "pong" ] || second <> [ "pong" ] then
+    (* a wedged worker would also wedge [Server.stop]: leave it *)
+    Alcotest.failf "replies [%s], then [%s] on a second connection" (String.concat "; " first)
+      (String.concat "; " second);
+  Server.stop server;
+  check_int "every request counted" 4 (Server.requests_served server)
+
+let log_failure_cases =
+  [
+    t "a broken access log neither kills a worker nor desyncs its connection" `Quick (fun () ->
+        let oc = broken_channel () in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (survives_broken_log { Server.default_config with access_log = Some oc }));
+    t "a broken slow-query log neither kills a worker nor desyncs its connection" `Quick
+      (fun () ->
+        let oc = broken_channel () in
+        (* every request is slow: the fake clock steps 1 s per read *)
+        let fake = ref 0.0 in
+        let saved = !Server.monotonic in
+        Server.monotonic :=
+          (fun () ->
+            fake := !fake +. 1.0;
+            !fake);
+        Fun.protect
+          ~finally:(fun () ->
+            Server.monotonic := saved;
+            close_out_noerr oc)
+          (survives_broken_log
+             { Server.default_config with slow_ms = 500; slow_log = Some oc }));
+  ]
+
+(* --- --profile: every session's engine profile lands in the server's
+   registry as xsb_pred_* series --- *)
+
+let scrape c =
+  match Xsb.Metrics.Exposition.validate (ok (Client.metrics c)) with
+  | Ok samples -> samples
+  | Error why -> Alcotest.failf "invalid exposition: %s" why
+
+let profile_cases =
+  [
+    t "--profile: two sessions' calls add up in METRICS and the drain table" `Quick (fun () ->
+        (* one session's calls of path/2 for the query *)
+        let s = Xsb.Session.create () in
+        Xsb.Session.set_profiling s true;
+        Xsb.Session.consult s tc_program;
+        ignore (Xsb.Session.query s "path(1,X)");
+        let calls = Xsb.Engine.call_count (Xsb.Session.engine s) "path" 2 in
+        check_bool "the query calls path/2" true (calls > 0);
+        let cfg = { Server.default_config with profile = true } in
+        let server = Server.start { cfg with port = 0 } in
+        let samples =
+          Fun.protect
+            ~finally:(fun () -> Server.stop server)
+            (fun () ->
+              let query () =
+                with_client server (fun c ->
+                    ignore (ok (Client.consult c tc_program));
+                    check_int "5 rows" 5 (List.length (rows_of (Client.query c "path(1,X)"))))
+              in
+              query ();
+              query ();
+              (* both clients have disconnected; their sessions' samples
+                 stay in the registry *)
+              with_client server scrape)
+        in
+        check_int "path/2 calls of both sessions" (2 * calls)
+          (int_of_float
+             (Option.value ~default:(-1.0)
+                (Xsb.Metrics.Exposition.find ~labels:[ ("pred", "path/2") ] samples
+                   "xsb_pred_calls_total")));
+        let table = Format.asprintf "%a" Server.pp_profile server in
+        let lines = String.split_on_char '\n' table in
+        let row prefix =
+          List.exists
+            (fun l -> String.length l > String.length prefix && String.starts_with ~prefix l)
+            lines
+        in
+        check_bool "a path/2 row" true (row "path/2 ");
+        check_bool "a QUERY row" true (row "QUERY "));
+    t "without --profile METRICS has no xsb_pred_ family" `Quick (fun () ->
+        with_server (fun server ->
+            with_client server (fun c ->
+                ignore (ok (Client.consult c tc_program));
+                ignore (rows_of (Client.query c "path(1,X)"));
+                check_bool "no xsb_pred_ sample" false
+                  (List.exists
+                     (fun (fam, _) -> String.starts_with ~prefix:"xsb_pred_" fam)
+                     (scrape c)))));
+  ]
+
 let suite =
   protocol_cases @ bounded_cases @ negative_cases @ server_cases @ metrics_cases
   @ [ isolation_case; backpressure_case; shutdown_case ]
-  @ reply_cases @ [ slow_reader_case ]
+  @ reply_cases @ [ slow_reader_case ] @ log_failure_cases @ profile_cases
