@@ -512,11 +512,10 @@ let scheduling () =
   row "wrote BENCH_scheduling_profile.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* E14 — the query service under concurrent load (paper §4: XSB as a
-   data server). An in-process server on an ephemeral port, N client
-   threads each driving one connection: per-request ABOLISH+QUERY
-   round-trips (so every query re-derives its table), latency
-   percentiles and aggregate throughput. *)
+(* E15 — the cost of observability: tc-cycle-64 under concurrent load
+   against a server with the metrics registry disabled (the control)
+   and enabled while a scraper thread hits METRICS continuously; the
+   overhead is measured, not assumed. *)
 
 (* quantiles come from the same log-bucketed histogram the server's
    METRICS exposition uses, so bench JSON and scraped
@@ -525,92 +524,6 @@ let latency_hist latencies =
   let h = Xsb.Metrics.Histogram.create () in
   Array.iter (Xsb.Metrics.Histogram.observe h) latencies;
   h
-
-let server_bench () =
-  header "Server: concurrent clients over loopback TCP";
-  let open Xsb_server in
-  let clients = if !quick then 4 else 8 in
-  let requests = if !quick then 25 else 100 in
-  let workloads =
-    [
-      ("tc-cycle-64", Workloads.left_path_tabled ^ Workloads.cycle_edges 64, "path(1,X)", 64);
-      ("tc-chain-128", Workloads.left_path_tabled ^ Workloads.chain_edges 128, "path(1,X)", 127);
-      ("sg-24", Workloads.sg_program 24, "sg(1,X)", -1);
-    ]
-  in
-  row "%-14s %8s %10s %10s %10s %10s %12s\n" "workload" "clients" "p50(us)" "p95(us)" "p99(us)"
-    "max(us)" "req/s";
-  let results =
-    List.map
-      (fun (name, program, goal, expected) ->
-        let cfg =
-          {
-            Server.default_config with
-            port = 0;
-            workers = clients;
-            queue_capacity = 4 * clients;
-            default_timeout_ms = 60_000;
-            default_max_steps = 0;
-          }
-        in
-        let server = Server.start cfg in
-        let latencies = Array.make (clients * requests) 0.0 in
-        let errors = Atomic.make 0 in
-        let run c_idx () =
-          let c = Client.connect (Server.port server) in
-          Fun.protect
-            ~finally:(fun () -> Client.close c)
-            (fun () ->
-              (match Client.consult c program with
-              | Ok _ -> ()
-              | Error _ -> Atomic.incr errors);
-              for r = 0 to requests - 1 do
-                let t0 = Unix.gettimeofday () in
-                (match Client.abolish c with Ok _ -> () | Error _ -> Atomic.incr errors);
-                (match Client.query c goal with
-                | Client.Rows { rows; _ } ->
-                    if expected >= 0 && List.length rows <> expected then Atomic.incr errors
-                | Client.Query_timeout _ | Client.Query_error _ -> Atomic.incr errors);
-                latencies.((c_idx * requests) + r) <- Unix.gettimeofday () -. t0
-              done)
-        in
-        let t0 = Unix.gettimeofday () in
-        let threads = List.init clients (fun i -> Thread.create (run i) ()) in
-        List.iter Thread.join threads;
-        let wall = Unix.gettimeofday () -. t0 in
-        Server.stop server;
-        if Atomic.get errors > 0 then
-          row "  !! %d failed requests in %s\n" (Atomic.get errors) name;
-        let hist = latency_hist latencies in
-        let total = clients * requests in
-        let us p = 1e6 *. Xsb.Metrics.Histogram.percentile hist p in
-        let throughput = float_of_int total /. wall in
-        row "%-14s %8d %10.0f %10.0f %10.0f %10.0f %12.0f\n" name clients (us 50.0) (us 95.0)
-          (us 99.0) (us 100.0) throughput;
-        (name, wall, throughput, us 50.0, us 95.0, us 99.0, us 100.0))
-      workloads
-  in
-  let oc = open_out "BENCH_server.json" in
-  Printf.fprintf oc
-    "{ \"experiment\": \"server\", \"clients\": %d, \"requests_per_client\": %d, \"results\": [\n"
-    clients requests;
-  List.iteri
-    (fun i (name, wall, throughput, p50, p95, p99, pmax) ->
-      Printf.fprintf oc
-        "  { \"workload\": %S, \"wall_s\": %.4f, \"throughput_rps\": %.1f, \"p50_us\": %.1f, \
-         \"p95_us\": %.1f, \"p99_us\": %.1f, \"max_us\": %.1f }%s\n"
-        name wall throughput p50 p95 p99 pmax
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  output_string oc "] }\n";
-  close_out oc;
-  row "wrote BENCH_server.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* E15 — the cost of observability: tc-cycle-64 under concurrent load
-   against a server with the metrics registry disabled (the control)
-   and enabled while a scraper thread hits METRICS continuously; the
-   overhead is measured, not assumed. *)
 
 let metrics_bench () =
   header "Metrics: instrumentation overhead under load (tc-cycle-64)";
@@ -1426,7 +1339,6 @@ let experiments =
     ("hilog", hilog_overhead);
     ("answer_index", answer_index);
     ("scheduling", scheduling);
-    ("server", server_bench);
     ("metrics", metrics_bench);
     ("journal", journal_bench);
     ("repl", repl_bench);

@@ -1,6 +1,7 @@
-(* The command-line client: one connection, a sequence of operations in
-   command-line order (consults first, then asserts, then goals), with
-   exit codes scripts can branch on: 0 ok, 1 error, 2 timeout,
+(* The command-line client: a sequence of operations in command-line
+   order (consults first, then asserts, then goals), each one request
+   through Client.call's retry rules, with exit codes scripts can branch
+   on: 0 ok, 1 error (a lost connection included), 2 timeout,
    3 overloaded, 4 readonly (mutation refused by a standby or a
    degraded primary). *)
 
@@ -16,108 +17,91 @@ let code_exit = function
   | _ -> exit_error
 
 let main host port endpoints consults fast_loads goals asserts limit timeout_ms max_steps stats
-    abolish ping sync promote role follow_primary metrics retries backoff_ms max_elapsed_ms =
+    abolish ping sync promote role metrics retries backoff_ms max_elapsed_ms =
   let open Xsb_server in
-  let retry =
+  (* a peer that hangs up must be a "connection lost" error, not a
+     SIGPIPE death *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let policy =
     Client.retry ~retries ~backoff_ms:(float_of_int backoff_ms)
       ~max_elapsed_ms:(float_of_int max_elapsed_ms) ()
   in
-  let run client =
-    let worst = ref 0 in
-    let note code = worst := max !worst code in
-    let simple what = function
-      | Ok payload -> if payload <> "" then Fmt.pr "%s@." payload
-      | Error { Client.code; message } ->
-          Fmt.epr "%s: %s: %s@." what (Protocol.err_code_name code) message;
-          note (code_exit code)
+  let conn = Client.conn ~endpoints ~host port in
+  let worst = ref 0 in
+  let note code = worst := max !worst code in
+  (* Each operation is one request through Client.call. A refusal is
+     reported and the script goes on; a connection that cannot be made
+     or was lost ends it. *)
+  let exception Stop in
+  let call what op f =
+    match Client.call ~policy conn op f with
+    | Ok v -> Some v
+    | Error (Client.Refused { code; message }) ->
+        Fmt.epr "%s: %s: %s@." what (Protocol.err_code_name code) message;
+        note (code_exit code);
+        None
+    | Error (Client.Failed why) ->
+        Fmt.epr "xsb_client: %s: %s@." what why;
+        note exit_error;
+        raise Stop
+  in
+  let simple what op f =
+    Option.iter (fun payload -> if payload <> "" then Fmt.pr "%s@." payload) (call what op f)
+  in
+  let consult what fmt path =
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    simple (what ^ " " ^ path) Protocol.Consult (fun c -> Client.consult ~fmt c text)
+  in
+  let query goal =
+    let run c =
+      match Client.query ?limit ?timeout_ms ?max_steps c goal with
+      | Client.Query_error e -> Error e
+      | outcome -> Ok outcome
     in
-    if promote then simple "promote" (Client.promote client);
-    if role then simple "role" (Client.role_payload client);
-    if ping then simple "ping" (Client.ping_retry ~retry ~follow_primary client);
-    List.iter
-      (fun path ->
-        let text = In_channel.with_open_bin path In_channel.input_all in
-        simple ("consult " ^ path) (Client.consult client text))
-      consults;
-    List.iter
-      (fun path ->
-        let text = In_channel.with_open_bin path In_channel.input_all in
-        simple ("fast-load " ^ path) (Client.consult ~fmt:Protocol.Fast client text))
-      fast_loads;
-    List.iter (fun clause -> simple ("assert " ^ clause) (Client.assert_ client clause)) asserts;
-    List.iter
-      (fun goal ->
-        match
-          Client.query_retry ~retry ~follow_primary ?limit ?timeout_ms ?max_steps client goal
-        with
-        | Client.Rows { rows; truncated } ->
-            List.iter (fun row -> Fmt.pr "%s@." row) rows;
-            Fmt.pr "%s (%d solution%s%s)@."
-              (if rows = [] then "no" else "yes")
-              (List.length rows)
-              (if List.length rows = 1 then "" else "s")
-              (if truncated then ", truncated" else "")
-        | Client.Query_timeout rows ->
-            List.iter (fun row -> Fmt.pr "%s@." row) rows;
-            Fmt.epr "timeout after %d answer%s@." (List.length rows)
-              (if List.length rows = 1 then "" else "s");
-            note exit_timeout
-        | Client.Query_error { code; message } ->
-            Fmt.epr "query %s: %s: %s@." goal (Protocol.err_code_name code) message;
-            note (code_exit code))
-      goals;
-    if abolish then simple "abolish" (Client.abolish client);
-    if sync then simple "sync" (Client.sync client);
-    if stats then simple "statistics" (Client.statistics_retry ~retry ~follow_primary client);
-    (if metrics then
-       match Client.metrics_retry ~retry ~follow_primary client with
-       | Error { Client.code; message } ->
-           Fmt.epr "metrics: %s: %s@." (Protocol.err_code_name code) message;
-           note (code_exit code)
-       | Ok text -> (
-           (* reject a malformed exposition here, so scripts (and
-              the CI smoke job) can trust a zero exit *)
+    match call ("query " ^ goal) Protocol.Query run with
+    | Some (Client.Rows { rows; truncated }) ->
+        List.iter (fun row -> Fmt.pr "%s@." row) rows;
+        Fmt.pr "%s (%d solution%s%s)@."
+          (if rows = [] then "no" else "yes")
+          (List.length rows)
+          (if List.length rows = 1 then "" else "s")
+          (if truncated then ", truncated" else "")
+    | Some (Client.Query_timeout rows) ->
+        List.iter (fun row -> Fmt.pr "%s@." row) rows;
+        Fmt.epr "timeout after %d answer%s@." (List.length rows)
+          (if List.length rows = 1 then "" else "s");
+        note exit_timeout
+    | Some (Client.Query_error _) | None -> ()
+  in
+  (try
+     if promote then simple "promote" Protocol.Promote Client.promote;
+     if role then simple "role" Protocol.Role Client.role_payload;
+     if ping then simple "ping" Protocol.Ping Client.ping;
+     List.iter (consult "consult" Protocol.Text) consults;
+     List.iter (consult "fast-load" Protocol.Fast) fast_loads;
+     List.iter
+       (fun clause ->
+         simple ("assert " ^ clause) Protocol.Assert (fun c -> Client.assert_ c clause))
+       asserts;
+     List.iter query goals;
+     if abolish then simple "abolish" Protocol.Abolish (fun c -> Client.abolish c);
+     if sync then simple "sync" Protocol.Sync Client.sync;
+     if stats then simple "statistics" Protocol.Statistics Client.statistics;
+     if metrics then
+       Option.iter
+         (fun text ->
+           (* reject a malformed exposition here, so scripts (and the
+              CI smoke job) can trust a zero exit *)
+           Fmt.pr "%s" text;
            match Xsb.Metrics.Exposition.validate text with
-           | Ok _ -> Fmt.pr "%s" text
+           | Ok _ -> ()
            | Error why ->
-               Fmt.pr "%s" text;
                Fmt.epr "metrics: invalid exposition: %s@." why;
-               note exit_error));
-    !worst
-  in
-  let connect_and_run (h, p) =
-    match Client.connect_with_retry ~retry ~host:h p with
-    | exception Unix.Unix_error (err, _, _) -> Error (h, p, Unix.error_message err)
-    | Error reason -> Error (h, p, reason)
-    | Ok client -> Ok (Fun.protect ~finally:(fun () -> Client.close client) (fun () -> run client))
-  in
-  (* With --endpoints the target is discovered, not fixed: probe every
-     endpoint's ROLE and dial the writable primary on the highest
-     epoch. A READONLY outcome (or a dead node) means the topology
-     changed under us -- re-discover and re-run, up to --retries times,
-     so a client rides out a failover instead of reporting it. *)
-  let discover fallback =
-    match Client.discover_primary endpoints with Some (hp, _) -> hp | None -> fallback
-  in
-  let rec go attempt target =
-    let redial () =
-      Unix.sleepf (float_of_int backoff_ms /. 1000.0 *. (2.0 ** float_of_int attempt));
-      go (attempt + 1) (discover target)
-    in
-    match connect_and_run target with
-    | Error (h, p, reason) ->
-        if endpoints <> [] && attempt < retries then redial ()
-        else begin
-          Fmt.epr "xsb_client: cannot connect to %s:%d: %s@." h p reason;
-          exit_error
-        end
-    | Ok worst when worst = exit_readonly && endpoints <> [] && attempt < retries ->
-        Fmt.epr "xsb_client: %s:%d is read-only; re-discovering the primary@." (fst target)
-          (snd target);
-        redial ()
-    | Ok worst -> worst
-  in
-  go 0 (if endpoints = [] then (host, port) else discover (host, port))
+               note exit_error)
+         (call "metrics" Protocol.Metrics Client.metrics)
+   with Stop -> ());
+  Client.close_conn conn;
+  !worst
 
 open Cmdliner
 
@@ -127,16 +111,9 @@ let host =
 let port = Arg.(value & opt int 4994 & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Server port.")
 
 let hostport_conv =
-  let parse s =
-    match String.rindex_opt s ':' with
-    | Some i when i > 0 && i < String.length s - 1 -> (
-        let host = String.sub s 0 i in
-        match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-        | Some p when p > 0 && p < 65536 -> Ok (host, p)
-        | _ -> Error (`Msg (Printf.sprintf "bad port in %S (expected HOST:PORT)" s)))
-    | _ -> Error (`Msg (Printf.sprintf "bad address %S (expected HOST:PORT)" s))
-  in
-  Arg.conv (parse, fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p)
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Xsb_server.Client.parse_hostport s)),
+      fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p )
 
 let endpoints =
   Arg.(
@@ -144,11 +121,12 @@ let endpoints =
     & opt (list hostport_conv) []
     & info [ "endpoints" ] ~docv:"HOST:PORT,..."
         ~doc:
-          "The replication topology's client endpoints. The client probes each one's ROLE, \
-           dials the writable primary on the highest epoch, and — when an operation is refused \
-           READONLY or a node dies mid-failover — re-discovers and re-runs (with --retries), \
-           riding out a promotion instead of failing. Overrides --host/--port when discovery \
-           succeeds.")
+          "The replication topology's client endpoints. Before each connect the client probes \
+           each one's ROLE and dials the writable primary on the highest epoch (else the last \
+           target, --host/--port at first). A request refused READONLY is re-sent to the \
+           rediscovered primary, and an idempotent one whose connection died is re-sent too, \
+           within --retries and --max-elapsed-ms; a lost mutation is never re-sent. Naming \
+           just the node itself waits out its promotion.")
 
 let role =
   Arg.(
@@ -207,14 +185,6 @@ let promote =
           "Promote a replication standby to a writable primary (failover); runs before any \
            other operation so the same invocation can then mutate.")
 
-let follow_primary =
-  Arg.(
-    value & flag
-    & info [ "follow-primary" ]
-        ~doc:
-          "Treat READONLY refusals of idempotent requests as retryable (with --retries): a \
-           standby about to be promoted, or a degraded primary being repaired, clears them.")
-
 let retries =
   Arg.(
     value & opt int 0
@@ -250,7 +220,7 @@ let cmd =
     (Cmd.info "xsb_client" ~doc)
     Term.(
       const main $ host $ port $ endpoints $ consults $ fast_loads $ goals $ asserts $ limit
-      $ timeout_ms $ max_steps $ stats $ abolish $ ping $ sync $ promote $ role $ follow_primary
-      $ metrics $ retries $ backoff_ms $ max_elapsed_ms)
+      $ timeout_ms $ max_steps $ stats $ abolish $ ping $ sync $ promote $ role $ metrics
+      $ retries $ backoff_ms $ max_elapsed_ms)
 
 let () = exit (Cmd.eval' cmd)

@@ -5,9 +5,8 @@
 let stop_requested = Atomic.make false
 
 let main host port workers queue timeout_ms max_steps max_answers preload scheduling access_log
-    profile data_dir sync group_commit_ms group_commit_batch compact_bytes keep_generations
-    repl_port replica_of sync_standbys sync_timeout_ms auto_promote promote_priority
-    failover_timeout_ms peers slow_ms slow_log =
+    profile data_dir sync compact_bytes keep_generations repl_port replica_of sync_standbys
+    sync_timeout_ms auto_promote promote_priority failover_timeout_ms peers slow_ms slow_log =
   let open_log = function
     | None -> None
     | Some "-" -> Some stdout
@@ -15,13 +14,6 @@ let main host port workers queue timeout_ms max_steps max_answers preload schedu
   in
   let log_channel = open_log access_log in
   let slow_channel = open_log slow_log in
-  (* --group-commit-ms overrides --sync: it IS a sync policy *)
-  let sync =
-    match group_commit_ms with
-    | None -> sync
-    | Some ms ->
-        Xsb.Journal.Group { window_us = ms * 1000; max_batch = group_commit_batch }
-  in
   let cfg =
     {
       Xsb_server.Server.default_config with
@@ -195,22 +187,6 @@ let sync =
           "Journal fsync policy: never, interval[=N] (every N records), always, or \
            group[=MS[,BATCH]] (group commit: one fsync per batch).")
 
-let group_commit_ms =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "group-commit-ms" ] ~docv:"MS"
-        ~doc:
-          "Group commit: batch concurrent writers for up to \\$(docv) milliseconds and fsync \
-           the whole batch once (acks wait for the batch fsync, so durability is unchanged). \
-           Overrides --sync.")
-
-let group_commit_batch =
-  Arg.(
-    value & opt int 256
-    & info [ "group-commit-batch" ] ~docv:"N"
-        ~doc:"Max records per group-commit batch (with --group-commit-ms).")
-
 let compact_bytes =
   Arg.(
     value
@@ -228,16 +204,9 @@ let keep_generations =
            standbys following across a rotation. Forced to at least 1 when replication is on.")
 
 let hostport_conv =
-  let parse s =
-    match String.rindex_opt s ':' with
-    | Some i when i > 0 && i < String.length s - 1 -> (
-        let host = String.sub s 0 i in
-        match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-        | Some p when p > 0 && p < 65536 -> Ok (host, p)
-        | _ -> Error (`Msg (Printf.sprintf "bad port in %S (expected HOST:PORT)" s)))
-    | _ -> Error (`Msg (Printf.sprintf "bad address %S (expected HOST:PORT)" s))
-  in
-  Arg.conv (parse, fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p)
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Xsb_server.Client.parse_hostport s)),
+      fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p )
 
 let repl_port =
   Arg.(
@@ -336,9 +305,8 @@ let cmd =
     (Cmd.info "xsb_serverd" ~doc)
     Term.(
       const main $ host $ port $ workers $ queue $ timeout_ms $ max_steps $ max_answers $ preload
-      $ scheduling $ access_log $ profile $ data_dir $ sync $ group_commit_ms $ group_commit_batch
-      $ compact_bytes $ keep_generations $ repl_port $ replica_of $ sync_standbys
-      $ sync_timeout_ms $ auto_promote $ promote_priority $ failover_timeout_ms $ peers
-      $ slow_ms $ slow_log)
+      $ scheduling $ access_log $ profile $ data_dir $ sync $ compact_bytes $ keep_generations
+      $ repl_port $ replica_of $ sync_standbys $ sync_timeout_ms $ auto_promote
+      $ promote_priority $ failover_timeout_ms $ peers $ slow_ms $ slow_log)
 
 let () = exit (Cmd.eval' cmd)

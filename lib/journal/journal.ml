@@ -18,7 +18,7 @@ let sync_policy_of_string s =
   in
   let group rest =
     (* "MS" or "MS,BATCH"; the window is given in (possibly fractional)
-       milliseconds to match the server's --group-commit-ms flag *)
+       milliseconds *)
     let window ms =
       match float_of_string_opt ms with
       | Some ms when ms >= 0.0 -> Some (int_of_float (ms *. 1000.0))

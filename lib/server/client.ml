@@ -50,12 +50,11 @@ type role_info = {
 
 let parse_hostport s =
   match String.rindex_opt s ':' with
-  | None -> None
-  | Some i -> (
-      let host = String.sub s 0 i in
+  | Some i when i > 0 && i < String.length s - 1 -> (
       match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | Some port when host <> "" && port > 0 && port < 65536 -> Some (host, port)
-      | _ -> None)
+      | Some port when port > 0 && port < 65536 -> Ok (String.sub s 0 i, port)
+      | _ -> Error (Printf.sprintf "bad port in %S (expected HOST:PORT)" s))
+  | _ -> Error (Printf.sprintf "bad address %S (expected HOST:PORT)" s)
 
 (* one "key: value" line per row; unknown keys are ignored so the
    payload can grow without breaking old clients *)
@@ -86,7 +85,9 @@ let role_info_of_payload payload =
     read_only = get "read_only" = Some "yes";
     peers =
       (match get "peers" with
-      | Some v -> String.split_on_char ',' v |> List.filter_map parse_hostport
+      | Some v ->
+          String.split_on_char ',' v
+          |> List.filter_map (fun hp -> Result.to_option (parse_hostport hp))
       | None -> []);
     fatal = (match get "fatal" with Some "-" | None -> None | Some m -> Some m);
   }
@@ -145,7 +146,12 @@ let default_retry =
     backoff_ms = 100.0;
     max_backoff_ms = 5_000.0;
     max_elapsed_ms = 0.0;
-    rand = Random.float;
+    (* a generator of its own, seeded from the OS: the global one is
+       never self-initialised, so every process would draw the same
+       "jitter" *)
+    rand =
+      (let st = Random.State.make_self_init () in
+       fun hi -> Random.State.float st hi);
     sleep = Unix.sleepf;
     (* the monotonic clock: an NTP step while we back off must not
        stretch or collapse the elapsed-time budget *)
@@ -160,67 +166,27 @@ let retry ?(retries = default_retry.retries) ?(backoff_ms = default_retry.backof
 
 let with_retry r f =
   let started = r.clock () in
-  let budget_spent () =
-    r.max_elapsed_ms > 0.0 && (r.clock () -. started) *. 1000.0 >= r.max_elapsed_ms
+  (* what is left of the elapsed budget, in ms *)
+  let left_ms () =
+    if r.max_elapsed_ms > 0.0 then r.max_elapsed_ms -. ((r.clock () -. started) *. 1000.0)
+    else infinity
   in
   let rec go attempt =
     match f () with
     | `Ok v -> Ok v
     | `Retry e ->
-        if attempt >= r.retries || budget_spent () then Error e
+        let left = if attempt >= r.retries then 0.0 else left_ms () in
+        if left <= 0.0 then Error e
         else begin
-          (* full jitter: uniform in [0, min(max, base * 2^attempt)] *)
+          (* full jitter: uniform in [0, min(max, base * 2^attempt)],
+             and never a sleep past the budget *)
           let cap = Float.min r.max_backoff_ms (r.backoff_ms *. (2.0 ** float_of_int attempt)) in
-          let delay_ms = if cap > 0.0 then r.rand cap else 0.0 in
+          let delay_ms = Float.min left (if cap > 0.0 then r.rand cap else 0.0) in
           if delay_ms > 0.0 then r.sleep (delay_ms /. 1000.0);
           go (attempt + 1)
         end
   in
   go 0
-
-(* only requests that are safe to re-send after an ambiguous failure:
-   re-running a mutation could apply it twice *)
-let idempotent = function
-  | Protocol.Ping | Protocol.Query | Protocol.Statistics | Protocol.Metrics | Protocol.Role ->
-      true
-  | Protocol.Consult | Protocol.Assert | Protocol.Abolish | Protocol.Sync | Protocol.Promote ->
-      false
-
-let connect_with_retry ?(retry = default_retry) ?host port =
-  with_retry retry (fun () ->
-      match connect ?host port with
-      | t -> `Ok t
-      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
-          `Retry (Printf.sprintf "connection refused on port %d" port))
-
-(* [READONLY] is only retryable on request: it clears when a standby is
-   promoted (or a degraded primary is repaired), which a caller that
-   "follows the primary" is waiting out. Only idempotent reads go
-   through these wrappers, so re-sending is always safe. *)
-let retryable ~follow_primary code =
-  match code with
-  | Protocol.Overloaded -> true
-  | Protocol.Readonly -> follow_primary
-  | _ -> false
-
-let retry_transient ~follow_primary retry run =
-  match
-    with_retry retry (fun () ->
-        match run () with
-        | Error ({ code; _ } as e) when retryable ~follow_primary code -> `Retry e
-        | r -> `Ok r)
-  with
-  | Ok r -> r
-  | Error e -> Error e
-
-let ping_retry ?(retry = default_retry) ?(follow_primary = false) t =
-  retry_transient ~follow_primary retry (fun () -> ping t)
-
-let statistics_retry ?(retry = default_retry) ?(follow_primary = false) t =
-  retry_transient ~follow_primary retry (fun () -> statistics t)
-
-let metrics_retry ?(retry = default_retry) ?(follow_primary = false) t =
-  retry_transient ~follow_primary retry (fun () -> metrics t)
 
 type query_outcome =
   | Rows of { rows : string list; truncated : bool }
@@ -239,13 +205,78 @@ let query ?limit ?timeout_ms ?max_steps t goal =
   in
   collect []
 
-let query_retry ?(retry = default_retry) ?(follow_primary = false) ?limit ?timeout_ms ?max_steps t
-    goal =
-  match
-    with_retry retry (fun () ->
-        match query ?limit ?timeout_ms ?max_steps t goal with
-        | Query_error ({ code; _ } as e) when retryable ~follow_primary code -> `Retry e
-        | outcome -> `Ok outcome)
-  with
-  | Ok outcome -> outcome
-  | Error e -> Query_error e
+(* --- one retry path: a connection that redials --- *)
+
+type error = Refused of reply_error | Failed of string
+
+type conn = {
+  endpoints : (string * int) list;
+  mutable target : string * int;
+  mutable live : t option;
+}
+
+let conn ?(endpoints = []) ?(host = "127.0.0.1") port =
+  { endpoints; target = (host, port); live = None }
+
+let close_conn c =
+  Option.iter close c.live;
+  c.live <- None
+
+(* only requests that are safe to re-send after an ambiguous failure:
+   re-running a mutation could apply it twice *)
+let idempotent = function
+  | Protocol.Ping | Protocol.Query | Protocol.Statistics | Protocol.Metrics | Protocol.Role ->
+      true
+  | Protocol.Consult | Protocol.Assert | Protocol.Abolish | Protocol.Sync | Protocol.Promote ->
+      false
+
+(* The live connection, or a new one: with endpoints, to the writable
+   primary discovery finds (else the last target). [Error] says whether
+   another attempt may help: a refused connect is a server still coming
+   up, and with endpoints any dead node may be replaced by another. *)
+let connection c =
+  match c.live with
+  | Some t -> Ok t
+  | None -> (
+      if c.endpoints <> [] then
+        Option.iter (fun (hp, _) -> c.target <- hp) (discover_primary c.endpoints);
+      let host, port = c.target in
+      let fail retry why =
+        Error (retry, Printf.sprintf "cannot connect to %s:%d: %s" host port why)
+      in
+      match connect ~host port with
+      | t ->
+          c.live <- Some t;
+          Ok t
+      | exception Unix.Unix_error (err, _, _) ->
+          fail (err = Unix.ECONNREFUSED || c.endpoints <> []) (Unix.error_message err)
+      | exception Failure why -> fail false why)
+
+let call ?(policy = default_retry) c op f =
+  let resend = idempotent op and redial = c.endpoints <> [] in
+  (* the request may or may not have run: only an idempotent one is
+     re-sent, and only where rediscovery can find a live node *)
+  let lost why =
+    close_conn c;
+    if resend && redial then `Retry (Failed ("connection lost: " ^ why))
+    else if resend then `Ok (Error (Failed ("connection lost: " ^ why)))
+    else `Ok (Error (Failed ("connection lost, outcome unknown: " ^ why)))
+  in
+  let attempt () =
+    match connection c with
+    | Error (retry, why) -> if retry then `Retry (Failed why) else `Ok (Error (Failed why))
+    | Ok t -> (
+        match f t with
+        | Ok v -> `Ok (Ok v)
+        | Error ({ code = Protocol.Overloaded; _ } as e) when resend -> `Retry (Refused e)
+        | Error ({ code = Protocol.Readonly; _ } as e) when redial ->
+            (* refused before it ran: re-send it to the new primary *)
+            close_conn c;
+            `Retry (Refused e)
+        | Error e -> `Ok (Error (Refused e))
+        | exception End_of_file -> lost "closed by the server"
+        | exception Protocol.Bad_frame m -> lost ("bad frame: " ^ m)
+        | exception Sys_error m -> lost m
+        | exception Unix.Unix_error (err, _, _) -> lost (Unix.error_message err))
+  in
+  match with_retry policy attempt with Ok r -> r | Error e -> Error e

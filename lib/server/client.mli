@@ -1,6 +1,7 @@
 (** A blocking client for the query service — the library behind
-    [bin/xsb_client.ml], the server tests and [bench server]. One
-    {!t} is one TCP connection, i.e. one private server-side session. *)
+    [bin/xsb_client.ml] and the server tests. One {!t} is one TCP
+    connection, i.e. one private server-side session (or, on a durable
+    server, one connection to its shared session). *)
 
 type t
 
@@ -100,19 +101,20 @@ val query : ?limit:int -> ?timeout_ms:int -> ?max_steps:int -> t -> string -> qu
 
     Exponential backoff with full jitter: before attempt [k+1] the
     client sleeps a uniform-random duration in
-    [\[0, min (max_backoff_ms, backoff_ms * 2{^k})\]] milliseconds.
-    Only {e idempotent} requests ([PING], [QUERY], [STATISTICS],
-    [METRICS]) and the initial connect are ever retried — re-sending a
-    mutation after an ambiguous failure could apply it twice. *)
+    [\[0, min (max_backoff_ms, backoff_ms * 2{^k})\]] milliseconds. *)
 
 type retry = {
   retries : int;  (** additional attempts after the first *)
   backoff_ms : float;
   max_backoff_ms : float;
   max_elapsed_ms : float;
-      (** total-elapsed budget across attempts, measured on [clock];
-          once spent, the next retryable failure is final. 0 = no cap *)
-  rand : float -> float;  (** jitter source; [Random.float] in production *)
+      (** total-elapsed budget across attempts, measured on [clock]: a
+          backoff never sleeps past it, and once it is spent the next
+          retryable failure is final. 0 = no cap *)
+  rand : float -> float;
+      (** jitter source: [rand hi] is uniform in [\[0, hi)]; in
+          production a generator seeded from the OS, so processes do
+          not back off in lockstep *)
   sleep : float -> unit;  (** seconds; injectable for deterministic tests *)
   clock : unit -> float;
       (** monotonic seconds ({!Xsb.Mclock.now} in production — an NTP
@@ -140,31 +142,61 @@ val with_retry : retry -> (unit -> [ `Ok of 'a | `Retry of 'e ]) -> ('a, 'e) res
     [`Retry]; [Error] carries the last retryable failure once the
     budget is spent. *)
 
+(** {1 Requests through one retry path}
+
+    A {!conn} holds the current connection and dials it on demand;
+    {!call} runs one request on it under a {!retry} budget. The budget
+    is per request and counts every connect, rediscovery and re-send.
+    The rules, by outcome of an attempt:
+
+    - a refused connect ([ECONNREFUSED]) is retried; with endpoints,
+      any failed connect is, each attempt rediscovering first;
+    - [OVERLOADED] is retried for {!idempotent} ops only (the queue was
+      full, the request never ran);
+    - with endpoints, [READONLY] drops the connection, rediscovers the
+      primary and re-sends that request (the node refused it before it
+      ran); without, it is final;
+    - a connection lost mid-request ([End_of_file], {!Protocol.Bad_frame},
+      [Sys_error], [Unix_error]) is a {!Failed} error, never an escaped
+      exception. With endpoints an idempotent op rediscovers and is
+      re-sent; a mutation is never re-sent, and its error says its
+      outcome is unknown.
+
+    A request that was acknowledged is never sent again.
+
+    Rediscovery is meant for durable, replicated topologies, where every
+    connection to a node shares its one session: a redial to another
+    node (or a new connection to the same in-memory server) starts a
+    fresh session, without the consults of the old one. *)
+
+type error =
+  | Refused of reply_error  (** the server answered [ERR] *)
+  | Failed of string
+      (** no connection could be made, or it was lost mid-request *)
+
+type conn
+
+val conn : ?endpoints:(string * int) list -> ?host:string -> int -> conn
+(** [conn ?endpoints ?host port] dials nothing yet. Without endpoints
+    every connect goes to [host:port]. With endpoints every connect
+    first probes their ROLE ({!discover_primary}) and dials the
+    writable primary on the highest epoch, falling back to the last
+    target ([host:port] at first) while none answers writable — so an
+    endpoint list naming one standby waits out its promotion. *)
+
+val close_conn : conn -> unit
+(** Close the current connection, if any; the next {!call} redials. *)
+
 val idempotent : Protocol.op -> bool
 (** Whether an op is safe to re-send
-    ([PING]/[QUERY]/[STATISTICS]/[METRICS]/[ROLE]). *)
+    ([PING]/[QUERY]/[STATISTICS]/[METRICS]/[ROLE]); {!call} retries
+    [OVERLOADED] and a lost connection for these only. *)
 
-val connect_with_retry : ?retry:retry -> ?host:string -> int -> (t, string) result
-(** {!connect}, retrying [ECONNREFUSED] (a server still coming up). *)
+val call :
+  ?policy:retry -> conn -> Protocol.op -> (t -> ('a, reply_error) result) -> ('a, error) result
+(** [call ?policy c op f] runs the request [f] (of kind [op]) on [c]'s
+    connection, under the rules above and [policy] ({!default_retry}).
+    E.g. [call c Protocol.Ping ping]. *)
 
-val ping_retry : ?retry:retry -> ?follow_primary:bool -> t -> (string, reply_error) result
-(** {!ping}, retrying [OVERLOADED] refusals. With [~follow_primary:true]
-    a [READONLY] refusal is also retried: it clears when the standby is
-    promoted (or a degraded primary repaired), so a caller waiting out a
-    failover keeps asking instead of giving up. *)
-
-val statistics_retry : ?retry:retry -> ?follow_primary:bool -> t -> (string, reply_error) result
-val metrics_retry : ?retry:retry -> ?follow_primary:bool -> t -> (string, reply_error) result
-
-val query_retry :
-  ?retry:retry ->
-  ?follow_primary:bool ->
-  ?limit:int ->
-  ?timeout_ms:int ->
-  ?max_steps:int ->
-  t ->
-  string ->
-  query_outcome
-(** {!query}, retrying [OVERLOADED] refusals (the queue was full; the
-    query never started executing, so re-sending is safe) — and, with
-    [~follow_primary:true], [READONLY] ones. *)
+val parse_hostport : string -> (string * int, string) result
+(** ["HOST:PORT"], or a message naming what is wrong with it. *)

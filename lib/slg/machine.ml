@@ -290,7 +290,6 @@ type env = {
 
 type eval = {
   e_id : int;
-  e_parent : eval option;
   e_depth : int;  (* nesting depth: 0 for top-level evaluations *)
   e_env : env;
   e_tasks : task Queue.t;
@@ -344,7 +343,6 @@ let new_eval env parent =
   | None -> ());
   {
     e_id = env.next_eval;
-    e_parent = parent;
     e_depth = (match parent with Some p -> p.e_depth + 1 | None -> 0);
     e_env = env;
     e_tasks = Queue.create ();
@@ -352,8 +350,6 @@ let new_eval env parent =
     e_created = [];
     e_scc_dirty = false;
   }
-
-let rec is_ancestor_or_self ev id = ev.e_id = id || (match ev.e_parent with Some p -> is_ancestor_or_self p id | None -> false)
 
 let fresh_barrier env =
   env.next_barrier <- env.next_barrier + 1;
@@ -1907,8 +1903,6 @@ and run_eval ?stop ev =
       finally ();
       raise e);
   finally ()
-
-let _ = is_ancestor_or_self
 
 (* ------------------------------------------------------------------ *)
 (* Incremental tabling: invalidation and repair (ISSUE 6 tentpole).

@@ -199,7 +199,6 @@ type env = {
 
 type eval = {
   e_id : int;
-  e_parent : eval option;
   e_depth : int;  (** nesting depth: 0 for top-level evaluations *)
   e_env : env;
   e_tasks : task Queue.t;

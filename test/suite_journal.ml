@@ -728,11 +728,15 @@ let retry_cases =
             ~sleep:(fun s -> sleeps := s :: !sleeps)
             ()
         in
-        match Client.connect_with_retry ~retry:r ~host:"127.0.0.1" port with
+        let c = Client.conn ~host:"127.0.0.1" port in
+        match Client.call ~policy:r c Protocol.Ping Client.ping with
         | Error _ -> check_int "two backoff sleeps" 2 (List.length !sleeps)
-        | Ok c ->
-            Client.close c;
-            Alcotest.fail "unexpected connect");
+        | Ok _ -> Alcotest.fail "unexpected connect");
+    t "default_retry jitter is not the unseeded global generator" `Quick (fun () ->
+        let saved = Random.get_state () in
+        let jitter = Client.default_retry.rand 1.0 in
+        Random.set_state saved;
+        check_bool "a generator of its own, seeded from the OS" true (jitter <> Random.float 1.0));
   ]
 
 (* --- the durable server --- *)

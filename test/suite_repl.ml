@@ -480,4 +480,67 @@ let suite =
                                       (List.length (rows_of (Client.query c "edge(X,Y)")))))))))
               [ 0; 3 ])
           cases);
+    t "call: a READONLY refusal re-sends only that request, to the rediscovered primary"
+      `Quick (fun () ->
+        with_dir (fun pdir ->
+            with_dir (fun adir ->
+                with_dir (fun bdir ->
+                    with_server (primary_cfg pdir) (fun primary ->
+                        let feed = ("127.0.0.1", repl_port primary) in
+                        with_server (standby_cfg adir feed) (fun a ->
+                            with_server (standby_cfg bdir feed) (fun b ->
+                                wait_caught_up primary a;
+                                wait_caught_up primary b;
+                                let eps =
+                                  [ ("127.0.0.1", Server.port a); ("127.0.0.1", Server.port b) ]
+                                in
+                                let policy =
+                                  Client.retry ~retries:3 ~backoff_ms:1.0 ~sleep:(fun _ -> ()) ()
+                                in
+                                let c = Client.conn ~endpoints:eps (Server.port a) in
+                                let call op f =
+                                  match Client.call ~policy c op f with
+                                  | Ok v -> v
+                                  | Error (Client.Refused { code; message }) ->
+                                      Alcotest.failf "refused %s: %s"
+                                        (Protocol.err_code_name code) message
+                                  | Error (Client.Failed why) -> Alcotest.failf "failed: %s" why
+                                in
+                                Fun.protect
+                                  ~finally:(fun () -> Client.close_conn c)
+                                  (fun () ->
+                                    (* no endpoint is a writable primary yet: the
+                                       connection starts at the standby [a] *)
+                                    ignore (call Protocol.Ping Client.ping);
+                                    with_client b (fun bc -> ignore (ok (Client.promote bc)));
+                                    ignore
+                                      (call Protocol.Assert (fun t ->
+                                           Client.assert_ t "edge(7,8)")));
+                                let series server family labels =
+                                  match
+                                    Xsb.Metrics.Exposition.validate
+                                      (Xsb.Metrics.to_text (Server.registry server))
+                                  with
+                                  | Error why -> Alcotest.failf "invalid exposition: %s" why
+                                  | Ok samples ->
+                                      int_of_float
+                                        (Option.value ~default:0.0
+                                           (Xsb.Metrics.Exposition.find ~labels samples family))
+                                in
+                                let requests server op =
+                                  series server "xsb_request_duration_seconds_count"
+                                    [ ("op", op) ]
+                                in
+                                check_int "the standby saw the PING once" 1 (requests a "PING");
+                                check_int "the new primary never saw it" 0 (requests b "PING");
+                                check_int "the standby refused the ASSERT once" 1
+                                  (series a "xsb_requests_by_outcome_total"
+                                     [ ("outcome", "readonly") ]);
+                                check_int "the ASSERT reached the standby once" 1
+                                  (requests a "ASSERT");
+                                check_int "the ASSERT landed once on the new primary" 1
+                                  (requests b "ASSERT");
+                                with_client b (fun bc ->
+                                    check_int "and is there" 1
+                                      (List.length (rows_of (Client.query bc "edge(7,8)")))))))))));
   ]

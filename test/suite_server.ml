@@ -884,16 +884,22 @@ let metrics_cases =
         check_bool "idempotent" true (Client.idempotent Protocol.Metrics);
         with_server (fun server ->
             Xsb.Metrics.set_enabled (Server.registry server) false;
-            with_client server (fun c ->
-                ignore (ok (Client.ping c));
-                let text = ok (Client.metrics_retry c) in
+            with_client server (fun c -> ignore (ok (Client.ping c)));
+            let conn = Client.conn (Server.port server) in
+            (match
+               Fun.protect
+                 ~finally:(fun () -> Client.close_conn conn)
+                 (fun () -> Client.call conn Protocol.Metrics Client.metrics)
+             with
+            | Error _ -> Alcotest.fail "METRICS failed"
+            | Ok text -> (
                 match Xsb.Metrics.Exposition.validate text with
                 | Error why -> Alcotest.failf "invalid exposition: %s" why
                 | Ok samples ->
                     check_int "nothing recorded" 0
                       (int_of_float
                          (Option.value ~default:(-1.0)
-                            (Xsb.Metrics.Exposition.find samples "xsb_requests_total"))));
+                            (Xsb.Metrics.Exposition.find samples "xsb_requests_total")))));
             ignore server));
   ]
 
@@ -1023,7 +1029,102 @@ let profile_cases =
                      (scrape c)))));
   ]
 
+(* --- Client.call: one retry path, one budget per request --- *)
+
+(* a port nothing listens on *)
+let dead_port () =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port = match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> assert false in
+  Unix.close fd;
+  port
+
+(* a peer that accepts, reads one request header, and hangs up; [f]
+   gets its port and the ops it has seen so far *)
+let with_hangup_peer f =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen fd 16;
+  let port = match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> assert false in
+  let seen = ref [] and m = Mutex.create () and stop = Atomic.make false in
+  let serve () =
+    while not (Atomic.get stop) do
+      let c, _ = Unix.accept ~cloexec:true fd in
+      (match String.split_on_char ' ' (input_line (Unix.in_channel_of_descr c)) with
+      | _ :: op :: _ -> Mutex.protect m (fun () -> seen := op :: !seen)
+      | _ | (exception End_of_file) -> ());
+      Unix.close c
+    done
+  in
+  let th = Thread.create serve () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      (* wake the accept *)
+      Client.close (Client.connect port);
+      Thread.join th;
+      Unix.close fd)
+    (fun () ->
+      f port (fun op -> Mutex.protect m (fun () -> List.length (List.filter (( = ) op) !seen))))
+
+let call_cases =
+  [
+    t "call: a peer that hangs up is a typed error; only an idempotent op is re-sent" `Quick
+      (fun () ->
+        with_hangup_peer (fun port seen ->
+            let policy = Client.retry ~retries:2 ~backoff_ms:1.0 ~sleep:(fun _ -> ()) () in
+            let lost c op f =
+              Fun.protect
+                ~finally:(fun () -> Client.close_conn c)
+                (fun () ->
+                  match Client.call ~policy c op f with
+                  | Error (Client.Failed why) -> why
+                  | Ok _ | Error (Client.Refused _) -> Alcotest.fail "expected a lost connection")
+            in
+            (* without endpoints nothing is re-sent *)
+            ignore (lost (Client.conn port) Protocol.Ping Client.ping);
+            check_int "one PING" 1 (seen "PING");
+            (* with endpoints the idempotent PING is re-sent on every attempt... *)
+            let eps = [ ("127.0.0.1", port) ] in
+            ignore (lost (Client.conn ~endpoints:eps port) Protocol.Ping Client.ping);
+            check_int "1 + retries + 1 PINGs" 4 (seen "PING");
+            (* ...and the mutation never: its outcome is unknown *)
+            let why =
+              lost (Client.conn ~endpoints:eps port) Protocol.Assert (fun c ->
+                  Client.assert_ c "edge(1,2)")
+            in
+            check_bool "outcome unknown" true
+              (String.starts_with ~prefix:"connection lost, outcome unknown" why);
+            check_int "the mutation is attempted once" 1 (seen "ASSERT")));
+    t "call: one budget across connects and rediscovery against dead endpoints" `Quick
+      (fun () ->
+        let port = dead_port () in
+        let eps = [ ("127.0.0.1", port); ("127.0.0.1", port) ] in
+        let now = ref 0.0 and attempts = ref 0 in
+        let run max_elapsed_ms =
+          now := 0.0;
+          (* every attempt but the last is followed by one backoff *)
+          attempts := 1;
+          let policy =
+            Client.retry ~retries:3 ~backoff_ms:100.0 ~max_elapsed_ms ~rand:(fun hi -> hi)
+              ~sleep:(fun s ->
+                incr attempts;
+                now := !now +. s)
+              ~clock:(fun () -> !now)
+              ()
+          in
+          match Client.call ~policy (Client.conn ~endpoints:eps port) Protocol.Ping Client.ping with
+          | Error (Client.Failed _) -> !attempts
+          | Ok _ | Error (Client.Refused _) -> Alcotest.fail "a dead endpoint cannot answer"
+        in
+        check_int "retries + 1 attempts in total" 4 (run 0.0);
+        check_bool "full backoff without a budget" true (Float.abs (!now -. 0.7) < 1e-9);
+        (* 100 ms, then 150 of the 200 ms backoff spend the 250 ms budget *)
+        check_int "stops at max_elapsed_ms" 3 (run 250.0);
+        check_bool "no backoff past the budget" true (Float.abs (!now -. 0.25) < 1e-9));
+  ]
+
 let suite =
   protocol_cases @ bounded_cases @ negative_cases @ server_cases @ metrics_cases
   @ [ isolation_case; backpressure_case; shutdown_case ]
-  @ reply_cases @ [ slow_reader_case ] @ log_failure_cases @ profile_cases
+  @ reply_cases @ [ slow_reader_case ] @ log_failure_cases @ profile_cases @ call_cases
