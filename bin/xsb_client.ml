@@ -106,7 +106,7 @@ let main host port endpoints consults fast_loads goals asserts limit timeout_ms 
 open Cmdliner
 
 let host =
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc:"Server address.")
+  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc:"Server address: a numeric IPv4 address or a host name.")
 
 let port = Arg.(value & opt int 4994 & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Server port.")
 

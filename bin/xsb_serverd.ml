@@ -16,8 +16,7 @@ let main host port workers queue timeout_ms max_steps max_answers preload schedu
   let slow_channel = open_log slow_log in
   let cfg =
     {
-      Xsb_server.Server.default_config with
-      host;
+      Xsb_server.Server.host;
       port;
       workers;
       queue_capacity = queue;
@@ -47,6 +46,9 @@ let main host port workers queue timeout_ms max_steps max_answers preload schedu
   match Xsb_server.Server.start cfg with
   | exception Unix.Unix_error (err, _, _) ->
       Fmt.epr "xsb_serverd: cannot bind %s:%d: %s@." host port (Unix.error_message err);
+      2
+  | exception Xsb_repl.Net.Unknown_host _ ->
+      Fmt.epr "xsb_serverd: cannot bind %s:%d: unknown host@." host port;
       2
   | exception Xsb.Journal.Recovery_error { file; offset; records_ok; message } ->
       Fmt.epr
@@ -95,7 +97,9 @@ let main host port workers queue timeout_ms max_steps max_answers preload schedu
 open Cmdliner
 
 let host =
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc:"Bind address.")
+  Arg.(
+    value & opt string "127.0.0.1"
+    & info [ "host" ] ~docv:"ADDR" ~doc:"Bind address: a numeric IPv4 address or a host name.")
 
 let port =
   Arg.(
@@ -103,15 +107,16 @@ let port =
     & info [ "p"; "port" ] ~docv:"PORT" ~doc:"TCP port; 0 picks an ephemeral one.")
 
 let workers =
-  Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc:"Worker threads in the pool.")
+  Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc:"Requests executing at once.")
 
 let queue =
   Arg.(
     value & opt int 64
     & info [ "queue" ] ~docv:"N"
         ~doc:
-          "Bounded request-queue capacity; a request arriving when the queue is full is \
-           answered OVERLOADED instead of being buffered.")
+          "Requests that may wait for one of the $(b,--workers) slots, admitted in arrival \
+           order; a request arriving when this many already wait is answered OVERLOADED \
+           instead of being buffered.")
 
 let timeout_ms =
   Arg.(

@@ -988,8 +988,9 @@ let compact j = with_lock j (fun () -> compact_locked j)
 (* the shared append path: write [ms] (pre-framed into [bytes]) as one
    [write(2)], then apply the sync policy. Under [Group], [wait] decides
    whether to block on the commit barrier here ([append]/[append_batch])
-   or leave that to a later {!barrier} ([enqueue], used by the server so
-   the fsync wait happens outside its session lock). *)
+   or leave that to a later {!barrier} (the deferred hook of [attach],
+   used by the server so the fsync wait happens outside its session
+   lock). *)
 let append_k j ~wait ms =
   match ms with
   | [] -> ()
@@ -1018,7 +1019,6 @@ let append_k j ~wait ms =
 
 let append j m = append_k j ~wait:true [ m ]
 let append_batch j ms = append_k j ~wait:true ms
-let enqueue j m = append_k j ~wait:false [ m ]
 
 let barrier j =
   with_lock j @@ fun () ->

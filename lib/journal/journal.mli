@@ -194,12 +194,6 @@ val append_batch : t -> mutation list -> unit
     which is what lets group commit amortize one fsync over many
     records even from a single writer. *)
 
-val enqueue : t -> mutation -> unit
-(** [append] without the group-commit wait: the record is written and
-    the committer is poked, but durability is only guaranteed after a
-    later {!barrier}/{!sync}. Identical to [append] under non-group
-    policies. *)
-
 val barrier : t -> unit
 (** Block until every record enqueued so far is durable (no-op under
     non-group policies, where [append] already was). Raises {!Io_error}

@@ -447,7 +447,7 @@ module Primary = struct
     let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
     (try
-       Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+       Unix.bind listen_fd (Unix.ADDR_INET (Net.inet_addr host, port));
        Unix.listen listen_fd 16
      with e ->
        (try Unix.close listen_fd with Unix.Unix_error _ -> ());
@@ -693,7 +693,7 @@ module Standby = struct
   let connect_once t =
     let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
     (try
-       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string t.primary_host, t.primary_port));
+       Unix.connect fd (Unix.ADDR_INET (Net.inet_addr t.primary_host, t.primary_port));
        try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
      with e ->
        (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -869,7 +869,7 @@ module Standby = struct
   let rec run t =
     if (not (Atomic.get t.stopped)) && with_lock t (fun () -> t.fatal) = None then begin
       (match connect_once t with
-      | exception (Unix.Unix_error _ | Not_found) -> nap t reconnect_delay
+      | exception (Unix.Unix_error _ | Not_found | Net.Unknown_host _) -> nap t reconnect_delay
       | fd ->
           with_lock t (fun () ->
               t.conn_fd <- Some fd;

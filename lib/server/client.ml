@@ -3,7 +3,7 @@ type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 let connect ?(host = "127.0.0.1") port =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
-     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+     Unix.connect fd (Unix.ADDR_INET (Xsb_repl.Net.inet_addr host, port));
      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -250,7 +250,7 @@ let connection c =
           Ok t
       | exception Unix.Unix_error (err, _, _) ->
           fail (err = Unix.ECONNREFUSED || c.endpoints <> []) (Unix.error_message err)
-      | exception Failure why -> fail false why)
+      | exception Xsb_repl.Net.Unknown_host _ -> fail (c.endpoints <> []) "unknown host")
 
 let call ?(policy = default_retry) c op f =
   let resend = idempotent op and redial = c.endpoints <> [] in

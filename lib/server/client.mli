@@ -6,7 +6,9 @@
 type t
 
 val connect : ?host:string -> int -> t
-(** [connect ?host port]. Raises [Unix.Unix_error] on refusal. *)
+(** [connect ?host port]; [host] is a name or a numeric address
+    ({!Xsb_repl.Net.inet_addr}). Raises [Unix.Unix_error] on refusal,
+    {!Xsb_repl.Net.Unknown_host} if [host] does not resolve. *)
 
 val close : t -> unit
 
@@ -151,7 +153,7 @@ val with_retry : retry -> (unit -> [ `Ok of 'a | `Retry of 'e ]) -> ('a, 'e) res
 
     - a refused connect ([ECONNREFUSED]) is retried; with endpoints,
       any failed connect is, each attempt rediscovering first;
-    - [OVERLOADED] is retried for {!idempotent} ops only (the queue was
+    - [OVERLOADED] is retried for {!idempotent} ops only (the wait line was
       full, the request never ran);
     - with endpoints, [READONLY] drops the connection, rediscovers the
       primary and re-sends that request (the node refused it before it

@@ -1,7 +1,8 @@
 (* The concurrent query service. One acceptor thread; one handler
-   thread per connection (frames in, replies out, one request at a time
-   per connection so its private session is never shared); a fixed pool
-   of workers pulling from a bounded queue. See server.mli and
+   thread per connection that reads a frame, runs the request itself
+   and writes the reply (one request at a time per connection, so its
+   private session is never shared). An admission gate caps how many
+   requests execute at once and how many may wait. See server.mli and
    DESIGN.md §8 for the architecture. *)
 
 type config = {
@@ -10,9 +11,7 @@ type config = {
   workers : int;
   queue_capacity : int;
   default_timeout_ms : int;
-  max_timeout_ms : int;
   default_max_steps : int;
-  max_steps_cap : int;
   max_answers : int;
   preload : string list;
   scheduling : Xsb.Machine.scheduling option;
@@ -41,9 +40,7 @@ let default_config =
     workers = 4;
     queue_capacity = 64;
     default_timeout_ms = 5_000;
-    max_timeout_ms = 0;
     default_max_steps = 10_000_000;
-    max_steps_cap = 0;
     max_answers = 0;
     preload = [];
     scheduling = None;
@@ -74,69 +71,70 @@ let journal_config cfg dir =
   in
   { Xsb.Journal.dir; sync = cfg.sync; compact_bytes = cfg.compact_bytes; keep_generations = keep }
 
-(* --- the bounded request queue ---
+(* --- the admission gate ---
 
-   Backpressure lives here: [push] refuses instead of growing past
-   [cap], and once [stop]ped refuses everything, so workers can drain
-   to empty and exit knowing no job will ever be added behind them. *)
-module Bqueue = struct
-  type 'a t = {
-    q : 'a Queue.t;
-    cap : int;
+   Backpressure lives here: at most [slots] requests execute at once,
+   and at most [cap] more wait their turn, admitted in arrival order
+   (each waiter draws a ticket; [serving] is the next one admitted).
+   [enter] refuses instead of lining up past [cap], and once [stop]ped
+   refuses everything, so [drain] can wait for the gate to empty knowing
+   no request will ever enter behind it. *)
+module Gate = struct
+  type t = {
     m : Mutex.t;
-    nonempty : Condition.t;
+    changed : Condition.t;
+    slots : int;
+    cap : int;
+    mutable running : int;
+    mutable next : int;  (* the ticket the next arrival draws *)
+    mutable serving : int;  (* the ticket admitted next *)
     mutable stopping : bool;
   }
 
-  type push_result = Pushed | Full | Stopping
+  type entry = Entered | Full | Stopping
 
-  let create cap = { q = Queue.create (); cap; m = Mutex.create (); nonempty = Condition.create (); stopping = false }
+  let create ~slots ~cap =
+    let m = Mutex.create () and changed = Condition.create () in
+    { m; changed; slots; cap; running = 0; next = 0; serving = 0; stopping = false }
 
-  let push t x =
-    Mutex.lock t.m;
-    let r =
-      if t.stopping then Stopping
-      else if Queue.length t.q >= t.cap then Full
-      else begin
-        Queue.add x t.q;
-        Condition.signal t.nonempty;
-        Pushed
-      end
-    in
-    Mutex.unlock t.m;
-    r
+  let waiting_locked g = g.next - g.serving
 
-  (* blocks; [None] once stopped and drained *)
-  let pop t =
-    Mutex.lock t.m;
-    let rec wait () =
-      match Queue.take_opt t.q with
-      | Some x -> Some x
-      | None ->
-          if t.stopping then None
-          else begin
-            Condition.wait t.nonempty t.m;
-            wait ()
-          end
-    in
-    let r = wait () in
-    Mutex.unlock t.m;
-    r
+  let enter g =
+    Mutex.protect g.m (fun () ->
+        if g.stopping then Stopping
+        else if waiting_locked g >= g.cap then Full
+        else begin
+          let ticket = g.next in
+          g.next <- ticket + 1;
+          while ticket <> g.serving || g.running >= g.slots do
+            Condition.wait g.changed g.m
+          done;
+          g.serving <- ticket + 1;
+          g.running <- g.running + 1;
+          (* the next ticket may find a free slot too *)
+          Condition.broadcast g.changed;
+          Entered
+        end)
 
-  let stop t =
-    Mutex.lock t.m;
-    t.stopping <- true;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.m
+  let leave g =
+    Mutex.protect g.m (fun () ->
+        g.running <- g.running - 1;
+        Condition.broadcast g.changed)
 
-  let length t =
-    Mutex.lock t.m;
-    let n = Queue.length t.q in
-    Mutex.unlock t.m;
-    n
+  let stop g = Mutex.protect g.m (fun () -> g.stopping <- true)
+
+  (* blocks until nothing executes or waits *)
+  let drain g =
+    Mutex.protect g.m (fun () ->
+        while g.running > 0 || waiting_locked g > 0 do
+          Condition.wait g.changed g.m
+        done)
+
+  let running g = Mutex.protect g.m (fun () -> g.running)
+  let waiting g = Mutex.protect g.m (fun () -> waiting_locked g)
 end
 
-(* --- connections and jobs --- *)
+(* --- connections --- *)
 
 type conn = {
   c_id : int;
@@ -144,22 +142,9 @@ type conn = {
   c_ic : in_channel;
   c_oc : out_channel;
   c_session : Xsb.Session.t;
-  (* one-slot completion latch: a connection has at most one request in
-     flight, the handler waits on it before reading the next frame *)
-  c_m : Mutex.t;
-  c_done : Condition.t;
-  mutable c_job_done : bool;
   (* the reply to the request in flight: every frame is rendered here
      and [send] writes the lot at once when the request is finished *)
   c_reply : Buffer.t;
-}
-
-type job = {
-  j_id : int;
-  j_conn : conn;
-  j_req : Protocol.request;
-  j_received : float;  (* monotonic seconds *)
-  j_deadline : float option;  (* absolute, monotonic seconds *)
 }
 
 (* with --data-dir every connection shares ONE durable session backed
@@ -180,7 +165,7 @@ type t = {
   bound_port : int;
   stop_rd : Unix.file_descr;  (* self-pipe waking the acceptor's select *)
   stop_wr : Unix.file_descr;
-  queue : job Bqueue.t;
+  gate : Gate.t;
   preload_texts : string list;
   conns : (int, conn * Thread.t) Hashtbl.t;
   conns_m : Mutex.t;
@@ -192,8 +177,6 @@ type t = {
   requests_total : Xsb.Metrics.Counter.t;
   op_hists : (string * Xsb.Metrics.Histogram.t) list;
   outcome_counters : (string * Xsb.Metrics.Counter.t) list;
-  in_flight : int Atomic.t;
-  mutable worker_threads : Thread.t list;
   mutable acceptor_thread : Thread.t option;
   (* replication roles; a standby may move from one to the other at
      promotion, serialized by [promote_m] *)
@@ -315,7 +298,7 @@ let pp_profile ppf t =
   |> List.iter (fun (op, h) ->
          Format.fprintf ppf "%-20s %8d %10.3f@." op (count h) (1000.0 *. sum h))
 
-(* --- request execution (worker side) --- *)
+(* --- request execution --- *)
 
 let clamp cap n = if cap > 0 then min cap n else n
 
@@ -507,7 +490,7 @@ let pred_indicator s =
    (under [sh_m] in durable mode: operators can change) and [send] writes
    them in one write once it is finished — after [sh_m] is released, and
    for a deferred mutation after its commit barrier — so a client that
-   reads slowly only ever stalls its own worker. A peer that vanished
+   reads slowly only ever stalls its own handler. A peer that vanished
    mid-reply is tolerated: the request still completes (and is logged);
    the handler sees EOF on its next read and closes the connection. *)
 let add_reply conn reply = Protocol.add_reply conn.c_reply reply
@@ -527,11 +510,34 @@ let send conn =
   if Buffer.length conn.c_reply > reply_keep then Buffer.reset conn.c_reply
   else Buffer.clear conn.c_reply
 
+(* A request's engine work for the logs — steps, subgoals, answers,
+   subsumption hits — is sampled around its [dispatch], under [sh_m] in
+   durable mode, so it is never charged for another request's. A counter
+   that went down was zeroed inside the request (ABOLISH resets the
+   engine's stats): its work is what it counted since. *)
+type work = { steps : int; subgoals : int; answers : int; subs : int }
+
+let no_work = { steps = 0; subgoals = 0; answers = 0; subs = 0 }
+
+let counters session =
+  let s = Xsb.Session.stats session in
+  let open Xsb.Machine in
+  { steps = s.st_steps; subgoals = s.st_subgoals; answers = s.st_answers; subs = s.st_subsumption_hits }
+
+let work_since before session =
+  let now = counters session in
+  let d b a = if a >= b then a - b else a in
+  {
+    steps = d before.steps now.steps;
+    subgoals = d before.subgoals now.subgoals;
+    answers = d before.answers now.answers;
+    subs = d before.subs now.subs;
+  }
+
 (* Runs a request and renders its reply into [c_reply], which the
-   caller sends; returns (outcome, pred, answers) for the access log. *)
-let execute t (job : job) =
-  let conn = job.j_conn in
-  let req = job.j_req in
+   caller sends; returns (outcome, pred, answers, work) for the logs.
+   [deadline] is absolute, on the monotonic clock. *)
+let execute t conn req ~deadline =
   let eng = Xsb.Session.engine conn.c_session in
   let parse_goal text = Xsb.Parser.term_of_string ~ops:(Xsb.Database.ops (Xsb.Session.db conn.c_session)) text in
   (* (outcome, pred, answers) for the access log *)
@@ -686,17 +692,17 @@ let execute t (job : job) =
         | goal -> (
             let pred = pred_of_goal goal in
             let deadline_passed () =
-              match job.j_deadline with Some d -> !monotonic () >= d | None -> false
+              match deadline with Some d -> !monotonic () >= d | None -> false
             in
             if deadline_passed () then begin
-              (* spent its whole deadline waiting in the queue *)
+              (* spent its whole deadline waiting at the gate *)
               add_reply conn (Protocol.Err (Protocol.Timeout, "deadline exceeded in queue"));
               ("timeout", pred, 0)
             end
             else begin
               let budget =
                 match req.Protocol.max_steps with
-                | Some n when n > 0 -> clamp t.cfg.max_steps_cap n
+                | Some n when n > 0 -> n
                 | _ -> t.cfg.default_max_steps
               in
               let limit =
@@ -712,7 +718,7 @@ let execute t (job : job) =
               match
                 Xsb.Engine.run_bounded
                   ?max_steps:(if budget > 0 then Some budget else None)
-                  ?stop:(if job.j_deadline = None then None else Some deadline_passed)
+                  ?stop:(if deadline = None then None else Some deadline_passed)
                   ?limit:(if limit > 0 then Some limit else None)
                   eng goal
               with
@@ -747,6 +753,11 @@ let execute t (job : job) =
                   ("exec_error", pred, 0)
             end))
   in
+  let measured () =
+    let before = counters conn.c_session in
+    let outcome, pred, answers = dispatch () in
+    (outcome, pred, answers, work_since before conn.c_session)
+  in
   let mutating =
     match req.Protocol.op with
     | Protocol.Assert | Protocol.Consult | Protocol.Sync -> true
@@ -757,7 +768,7 @@ let execute t (job : job) =
   in
   let refuse_readonly reason =
     add_reply conn (Protocol.Err (Protocol.Readonly, "server is read-only: " ^ reason));
-    ("readonly", "", 0)
+    ("readonly", "", 0, no_work)
   in
   let finishing =
     match req.Protocol.op with
@@ -772,10 +783,10 @@ let execute t (job : job) =
           | _ -> "bad_request"
         in
         add_reply conn reply;
-        (outcome, "", 0)
+        (outcome, "", 0, no_work)
     | _ -> (
         match t.shared with
-        | None -> dispatch ()
+        | None -> measured ()
         | Some sh -> (
             match sh.sh_read_only with
             | Some reason when mutating -> refuse_readonly reason
@@ -807,7 +818,7 @@ let execute t (job : job) =
                 in
                 (* one durable session for every connection: serialize *)
                 Mutex.lock sh.sh_m;
-                match Fun.protect ~finally:(fun () -> Mutex.unlock sh.sh_m) dispatch with
+                match Fun.protect ~finally:(fun () -> Mutex.unlock sh.sh_m) measured with
                 | finishing ->
                     if defer then begin
                       match Xsb.Journal.barrier sh.sh_journal with
@@ -835,63 +846,36 @@ let execute t (job : job) =
   finishing
 
 (* Runs one request: its reply is sent, and it is logged, exactly once.
-   An exception out of [execute] (one poisoned request must never kill a
-   worker) happens before anything is sent, so it becomes the one ERR
-   reply. *)
-let execute_safe t job =
-  let conn = job.j_conn in
-  let req = job.j_req in
-  Atomic.incr t.in_flight;
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr t.in_flight;
-      Mutex.lock conn.c_m;
-      conn.c_job_done <- true;
-      Condition.signal conn.c_done;
-      Mutex.unlock conn.c_m)
-    (fun () ->
-      let t0 = !monotonic () in
-      let s = Xsb.Session.stats conn.c_session in
-      let steps0 = s.Xsb.Machine.st_steps
-      and subgoals0 = s.Xsb.Machine.st_subgoals
-      and answers0 = s.Xsb.Machine.st_answers
-      and subs0 = s.Xsb.Machine.st_subsumption_hits in
-      let outcome, pred, answers =
-        try execute t job
-        with e ->
-          Buffer.clear conn.c_reply;
-          add_reply conn
-            (Protocol.Err (Protocol.Exec_error, "internal error: " ^ Printexc.to_string e));
-          ("exec_error", "", 0)
-      in
-      (* the reply goes out only now: outside [sh_m], after any commit barrier *)
-      send conn;
-      let wall = !monotonic () -. t0 in
-      (* the slow-query log's line is correlated to the access log by
-         request id and carries the engine's per-request work delta *)
-      let slow () =
-        let goal = req.Protocol.payload in
-        let goal = if String.length goal > 512 then String.sub goal 0 512 ^ "..." else goal in
-        [
-          ("goal", Xsb.Json.String goal);
-          ("subgoals", Xsb.Json.Int (s.Xsb.Machine.st_subgoals - subgoals0));
-          ("engine_answers", Xsb.Json.Int (s.Xsb.Machine.st_answers - answers0));
-          ("subsumption_hits", Xsb.Json.Int (s.Xsb.Machine.st_subsumption_hits - subs0));
-        ]
-      in
-      log_request t ~slow ~id:job.j_id ~conn_id:conn.c_id
-        ~op:(Protocol.op_name req.Protocol.op)
-        ~pred ~answers ~steps:(s.Xsb.Machine.st_steps - steps0) ~wall ~outcome)
-
-let worker_loop t =
-  let rec loop () =
-    match Bqueue.pop t.queue with
-    | Some job ->
-        execute_safe t job;
-        loop ()
-    | None -> ()
+   An exception out of [execute] (one poisoned request must never kill
+   its connection's handler) happens before anything is sent, so it
+   becomes the one ERR reply. *)
+let execute_safe t conn req ~deadline =
+  let id = Atomic.fetch_and_add t.req_counter 1 + 1 in
+  let t0 = !monotonic () in
+  let outcome, pred, answers, work =
+    try execute t conn req ~deadline
+    with e ->
+      Buffer.clear conn.c_reply;
+      add_reply conn (Protocol.Err (Protocol.Exec_error, "internal error: " ^ Printexc.to_string e));
+      ("exec_error", "", 0, no_work)
   in
-  loop ()
+  (* the reply goes out only now: outside [sh_m], after any commit barrier *)
+  send conn;
+  let wall = !monotonic () -. t0 in
+  (* the slow-query log's line is correlated to the access log by
+     request id and carries the engine's per-request work delta *)
+  let slow () =
+    let goal = req.Protocol.payload in
+    let goal = if String.length goal > 512 then String.sub goal 0 512 ^ "..." else goal in
+    [
+      ("goal", Xsb.Json.String goal);
+      ("subgoals", Xsb.Json.Int work.subgoals);
+      ("engine_answers", Xsb.Json.Int work.answers);
+      ("subsumption_hits", Xsb.Json.Int work.subs);
+    ]
+  in
+  log_request t ~slow ~id ~conn_id:conn.c_id ~op:(Protocol.op_name req.Protocol.op) ~pred
+    ~answers ~steps:work.steps ~wall ~outcome
 
 (* --- the per-connection handler --- *)
 
@@ -932,31 +916,19 @@ let handler_loop t conn =
         let received = !monotonic () in
         let timeout_ms =
           match req.Protocol.timeout_ms with
-          | Some n when n > 0 -> clamp t.cfg.max_timeout_ms n
+          | Some n when n > 0 -> n
           | _ -> t.cfg.default_timeout_ms
         in
         let deadline =
           if timeout_ms > 0 then Some (received +. (float_of_int timeout_ms /. 1000.0)) else None
         in
-        let job =
-          {
-            j_id = Atomic.fetch_and_add t.req_counter 1 + 1;
-            j_conn = conn;
-            j_req = req;
-            j_received = received;
-            j_deadline = deadline;
-          }
-        in
-        conn.c_job_done <- false;
-        (match Bqueue.push t.queue job with
-        | Bqueue.Pushed ->
-            Mutex.lock conn.c_m;
-            while not conn.c_job_done do
-              Condition.wait conn.c_done conn.c_m
-            done;
-            Mutex.unlock conn.c_m
-        | Bqueue.Full -> refuse t conn req Protocol.Overloaded "request queue is full" "overloaded"
-        | Bqueue.Stopping ->
+        (match Gate.enter t.gate with
+        | Gate.Entered ->
+            Fun.protect
+              ~finally:(fun () -> Gate.leave t.gate)
+              (fun () -> execute_safe t conn req ~deadline)
+        | Gate.Full -> refuse t conn req Protocol.Overloaded "request queue is full" "overloaded"
+        | Gate.Stopping ->
             refuse t conn req Protocol.Shutting_down "server is draining" "shutting_down");
         loop ()
   in
@@ -982,9 +954,6 @@ let make_conn t fd =
     c_ic = Unix.in_channel_of_descr fd;
     c_oc = Unix.out_channel_of_descr fd;
     c_session = session;
-    c_m = Mutex.create ();
-    c_done = Condition.create ();
-    c_job_done = true;
     c_reply = Buffer.create 4096;
   }
 
@@ -1086,7 +1055,7 @@ let start cfg =
       raise e
   in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  (try Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port))
+  (try Unix.bind listen_fd (Unix.ADDR_INET (Xsb_repl.Net.inet_addr cfg.host, cfg.port))
    with e ->
      Unix.close listen_fd;
      close_shared ();
@@ -1131,7 +1100,7 @@ let start cfg =
       bound_port;
       stop_rd;
       stop_wr;
-      queue = Bqueue.create cfg.queue_capacity;
+      gate = Gate.create ~slots:cfg.workers ~cap:cfg.queue_capacity;
       preload_texts;
       conns = Hashtbl.create 16;
       conns_m = Mutex.create ();
@@ -1143,8 +1112,6 @@ let start cfg =
       requests_total;
       op_hists;
       outcome_counters;
-      in_flight = Atomic.make 0;
-      worker_threads = [];
       acceptor_thread = None;
       promote_m = Mutex.create ();
       repl_primary = None;
@@ -1207,19 +1174,18 @@ let start cfg =
      close_shared ();
      raise e);
   (* liveness gauges, sampled at scrape time *)
-  Xsb.Metrics.gauge_fn registry ~help:"Requests currently executing on a worker."
-    "xsb_in_flight_requests" (fun () -> Float.of_int (Atomic.get t.in_flight));
-  Xsb.Metrics.gauge_fn registry ~help:"Requests waiting in the bounded queue."
-    "xsb_queue_depth" (fun () -> Float.of_int (Bqueue.length t.queue));
+  Xsb.Metrics.gauge_fn registry ~help:"Requests currently executing."
+    "xsb_in_flight_requests" (fun () -> Float.of_int (Gate.running t.gate));
+  Xsb.Metrics.gauge_fn registry ~help:"Requests waiting to execute."
+    "xsb_queue_depth" (fun () -> Float.of_int (Gate.waiting t.gate));
   Xsb.Metrics.gauge_fn registry ~help:"Open client connections." "xsb_connections"
     (fun () ->
       Mutex.lock t.conns_m;
       let n = Hashtbl.length t.conns in
       Mutex.unlock t.conns_m;
       Float.of_int n);
-  Xsb.Metrics.gauge_fn registry ~help:"Configured worker threads." "xsb_workers"
-    (fun () -> Float.of_int t.cfg.workers);
-  t.worker_threads <- List.init cfg.workers (fun _ -> Thread.create (fun () -> worker_loop t) ());
+  Xsb.Metrics.gauge_fn registry ~help:"Requests allowed to execute at once (--workers)."
+    "xsb_workers" (fun () -> Float.of_int t.cfg.workers);
   t.acceptor_thread <- Some (Thread.create (fun () -> acceptor_loop t) ());
   if cfg.auto_promote && t.repl_standby <> None then
     t.failover_thread <- Some (Thread.create (fun () -> failover_monitor t) ());
@@ -1227,14 +1193,14 @@ let start cfg =
 
 let stop t =
   if not (Atomic.exchange t.stopped true) then begin
-    (* 1. no new submissions: handlers now answer SHUTTING_DOWN *)
-    Bqueue.stop t.queue;
+    (* 1. no new entries: handlers now answer SHUTTING_DOWN *)
+    Gate.stop t.gate;
     (* 2. no new connections *)
     (try ignore (Unix.write t.stop_wr (Bytes.of_string "x") 0 1) with Unix.Unix_error _ -> ());
     (match t.acceptor_thread with Some th -> Thread.join th | None -> ());
-    (* 3. drain: workers exit only once the queue is empty, so every
-       request accepted before (1) completes — zero dropped in flight *)
-    List.iter Thread.join t.worker_threads;
+    (* 3. drain: no request enters after (1), and every one running or
+       waiting at the gate before it completes — zero dropped in flight *)
+    Gate.drain t.gate;
     (* 4. wake handlers blocked reading the next frame, and join them *)
     let handlers =
       Mutex.lock t.conns_m;
@@ -1257,8 +1223,8 @@ let stop t =
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     (try Unix.close t.stop_rd with Unix.Unix_error _ -> ());
     (try Unix.close t.stop_wr with Unix.Unix_error _ -> ());
-    (* workers and handlers are joined: no request (or promotion) is in
-       flight, so the replication components can come down cleanly *)
+    (* the handlers are joined: no request (or promotion) is in flight,
+       so the replication components can come down cleanly *)
     (match t.repl_standby with
     | Some s ->
         (try Xsb_repl.Repl.Standby.stop s with _ -> ());

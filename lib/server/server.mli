@@ -1,28 +1,27 @@
 (** The concurrent query service: a TCP server speaking {!Protocol}
-    with a fixed worker pool, a bounded request queue (backpressure),
-    per-request deadlines, per-connection {!Xsb.Session} isolation, and
-    a JSONL access log.
+    with an admission gate (a cap on executing requests and a bounded
+    wait line: backpressure), per-request deadlines, per-connection
+    {!Xsb.Session} isolation, and a JSONL access log.
 
     Architecture (DESIGN.md §8): one acceptor thread; one handler
-    thread per connection that reads frames and waits for each
-    submitted request to finish (so a connection's requests execute in
-    order against its private session); [workers] worker threads
-    pulling requests from a queue of at most [queue_capacity] entries —
-    a submit against a full queue is answered [OVERLOADED] immediately,
-    never buffered without bound. Deadlines are enforced twice: a
-    wall-clock check polled inside the engine and a resolution-step
-    budget ({!Xsb.Engine.run_bounded}), so a runaway derivation returns
-    [TIMEOUT] instead of wedging its worker. *)
+    thread per connection that reads a frame, runs the request itself
+    and writes its reply (so a connection's requests execute in order
+    against its private session). Before it runs a request the handler
+    passes the gate: at most [workers] requests execute at once, and at
+    most [queue_capacity] more wait, admitted in arrival order — a
+    request that finds the line full is answered [OVERLOADED]
+    immediately, never buffered without bound. Deadlines are enforced
+    twice: a wall-clock check polled inside the engine and a
+    resolution-step budget ({!Xsb.Engine.run_bounded}), so a runaway
+    derivation returns [TIMEOUT] instead of holding its slot. *)
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** 0 picks an ephemeral port (see {!port}) *)
-  workers : int;
-  queue_capacity : int;  (** queued (not yet executing) request cap *)
+  workers : int;  (** requests executing at once *)
+  queue_capacity : int;  (** requests waiting (not yet executing) at most *)
   default_timeout_ms : int;  (** per-request wall deadline; 0 = none *)
-  max_timeout_ms : int;  (** clamp on client-supplied deadlines; 0 = no clamp *)
   default_max_steps : int;  (** per-request step budget; 0 = none *)
-  max_steps_cap : int;  (** clamp on client-supplied budgets; 0 = no clamp *)
   max_answers : int;  (** hard per-query row cap; 0 = none *)
   preload : string list;  (** program files consulted into every fresh session *)
   scheduling : Xsb.Machine.scheduling option;
@@ -85,24 +84,26 @@ type config = {
 }
 
 val default_config : config
-(** Loopback, port 0, 4 workers, queue 64, 5 s / 10 M step budgets,
+(** Loopback, port 0, 4 executing, 64 waiting, 5 s / 10 M step budgets,
     no preload, no log, no profile, slow-query log off. *)
 
 type t
 
 val start : config -> t
-(** Bind, listen and spawn the pool. Raises [Unix.Unix_error] if the
-    address is unavailable, [Sys_error]/[Xsb.Loader.Load_error] if a
-    preload file is unreadable or malformed. *)
+(** Bind, listen and spawn the acceptor. [host] is a name or a numeric
+    address ({!Xsb_repl.Net.inet_addr}). Raises [Unix.Unix_error] if
+    the address is unavailable, {!Xsb_repl.Net.Unknown_host} if [host]
+    does not resolve, [Sys_error]/[Xsb.Loader.Load_error] if a preload
+    file is unreadable or malformed. *)
 
 val port : t -> int
 (** The bound port (useful with [config.port = 0]). *)
 
 val stop : t -> unit
-(** Graceful shutdown: stop accepting, refuse new submissions with
-    [SHUTTING_DOWN], drain every queued and executing request, then
-    close every connection and join every thread. Idempotent; blocks
-    until the drain completes. *)
+(** Graceful shutdown: refuse new requests with [SHUTTING_DOWN], stop
+    accepting, drain every waiting and executing request, then close
+    every connection and join every thread. Idempotent; blocks until
+    the drain completes. *)
 
 val requests_served : t -> int
 (** Total requests executed or refused so far: [xsb_requests_total]. *)

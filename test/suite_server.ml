@@ -415,19 +415,25 @@ let raw_connect ?rcvbuf port =
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   fd
 
-(* wait, at most 5 s, until the server is executing a request (its
-   in-flight gauge) *)
-let await_in_flight server =
-  let in_flight () =
+(* wait, at most 5 s, until a gauge of the server's registry reads a
+   value [ok] accepts *)
+let await_gauge server name ok =
+  let read () =
     match Xsb.Metrics.Exposition.validate (Xsb.Metrics.to_text (Server.registry server)) with
-    | Ok samples ->
-        Option.value ~default:0.0 (Xsb.Metrics.Exposition.find samples "xsb_in_flight_requests")
+    | Ok samples -> Option.value ~default:0.0 (Xsb.Metrics.Exposition.find samples name)
     | Error why -> Alcotest.failf "invalid exposition: %s" why
   in
   let give_up = Unix.gettimeofday () +. 5.0 in
-  while in_flight () < 1.0 && Unix.gettimeofday () < give_up do
+  while (not (ok (read ()))) && Unix.gettimeofday () < give_up do
     Thread.delay 0.005
   done
+
+(* the server is executing a request *)
+let await_in_flight server = await_gauge server "xsb_in_flight_requests" (fun v -> v >= 1.0)
+
+(* every request answered so far has also left the gate: a reply is
+   sent (and logged) just before its handler leaves *)
+let await_idle server = await_gauge server "xsb_in_flight_requests" (( = ) 0.0)
 
 (* an SLD generator of infinitely many answers: a step budget stops it
    after some rows *)
@@ -601,21 +607,23 @@ let backpressure_case =
         }
       in
       with_server ~cfg (fun server ->
-          let slow_query timeout_ms () =
-            with_client server (fun c ->
-                ignore (ok (Client.consult c loop_program));
-                ignore (Client.query ~timeout_ms c "loop(1)"))
-          in
+          let slow_query c timeout_ms () = ignore (Client.query ~timeout_ms c "loop(1)") in
           with_client server (fun c ->
-              (* consult while the server is idle: once the worker and the
-                 queue slot are both held, every submission is refused *)
+          with_client server (fun c1 ->
+          with_client server (fun c2 ->
+              (* every connection consults while the server is idle: once
+                 the executing slot and the one waiting place are both
+                 held, every request is refused *)
               ignore (ok (Client.consult c "p(1).\n"));
-              (* occupy the single worker... *)
-              let t1 = Thread.create (slow_query 1_000) () in
-              Thread.delay 0.25;
-              (* ...fill the one queue slot... *)
-              let t2 = Thread.create (slow_query 300) () in
-              Thread.delay 0.25;
+              ignore (ok (Client.consult c1 loop_program));
+              ignore (ok (Client.consult c2 loop_program));
+              await_idle server;
+              (* occupy the single slot... *)
+              let t1 = Thread.create (slow_query c1 1_000) () in
+              await_gauge server "xsb_in_flight_requests" (( = ) 1.0);
+              (* ...fill the one waiting place... *)
+              let t2 = Thread.create (slow_query c2 300) () in
+              await_gauge server "xsb_queue_depth" (( = ) 1.0);
               (* ...and the next submission must be refused immediately *)
               let t0 = Unix.gettimeofday () in
               (match Client.query c "p(X)" with
@@ -626,7 +634,7 @@ let backpressure_case =
               | Client.Query_error { code; _ } ->
                   Alcotest.failf "expected OVERLOADED, got %s" (Protocol.err_code_name code));
               Thread.join t1;
-              Thread.join t2)))
+              Thread.join t2)))))
 
 let shutdown_case =
   t "graceful shutdown drains in-flight requests" `Slow (fun () ->
@@ -808,9 +816,10 @@ let metrics_cases =
                 with_client server (fun c -> check_string "pong" "pong" (ok (Client.ping c))));
             close_out access_oc;
             close_out slow_oc;
-            (* the handler reads the clock once (received), the worker
-               twice (start, end): the measured wall is exactly one
-               fake-clock step, NTP-immune by construction *)
+            (* the handler reads the clock three times (received,
+               admitted, finished): the measured wall, from admission,
+               is exactly one fake-clock step, NTP-immune by
+               construction *)
             (match read_lines access_path with
             | [ line ] ->
                 let json = Result.get_ok (Xsb.Json.of_string line) in
@@ -1124,7 +1133,169 @@ let call_cases =
         check_bool "no backoff past the budget" true (Float.abs (!now -. 0.25) < 1e-9));
   ]
 
+(* --- the engine work a log line reports is the request's own --- *)
+
+(* the access-log lines of [path] for [op] *)
+let log_lines_of path op =
+  read_lines path
+  |> List.map (fun line -> Result.get_ok (Xsb.Json.of_string line))
+  |> List.filter (fun json ->
+         Option.bind (Xsb.Json.member "op" json) Xsb.Json.as_string = Some op)
+
+(* [f] gets an access-log channel and the log's lines for an op *)
+let with_access_log f =
+  let path = Filename.temp_file "access" ".jsonl" in
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr oc;
+      Sys.remove path)
+    (fun () -> f oc (log_lines_of path))
+
+let work_cases =
+  [
+    t "access log: an ABOLISH reports no negative steps" `Quick (fun () ->
+        with_access_log (fun oc lines ->
+            let cfg = { Server.default_config with access_log = Some oc } in
+            with_server ~cfg (fun server ->
+                with_client server (fun c ->
+                    ignore (ok (Client.consult c tc_program));
+                    ignore (rows_of (Client.query c "path(1,X)"));
+                    ignore (rows_of (Client.query c "path(1,X)"));
+                    ignore (ok (Client.abolish c))));
+            (match lines "QUERY" with
+            | first :: _ -> check_bool "a query's steps are counted" true (json_int "steps" first > 0)
+            | [] -> Alcotest.fail "no QUERY line");
+            match lines "ABOLISH" with
+            | [ line ] -> check_int "ABOLISH steps" 0 (json_int "steps" line)
+            | l -> Alcotest.failf "expected 1 ABOLISH line, got %d" (List.length l)));
+    t "durable server: a PING queued behind a running query reports no steps" `Slow (fun () ->
+        Suite_journal.with_dir (fun dir ->
+            with_access_log (fun oc lines ->
+                let cfg =
+                  {
+                    Server.default_config with
+                    workers = 2;
+                    data_dir = Some dir;
+                    default_max_steps = 0;
+                    access_log = Some oc;
+                  }
+                in
+                with_server ~cfg (fun server ->
+                    with_client server (fun a ->
+                        with_client server (fun b ->
+                            ignore (ok (Client.consult a loop_program));
+                            await_idle server;
+                            let slow =
+                              Thread.create
+                                (fun () -> ignore (Client.query ~timeout_ms:400 a "loop(1)"))
+                                ()
+                            in
+                            (* the query holds the shared session; the
+                               PING waits for it *)
+                            await_in_flight server;
+                            check_string "pong" "pong" (ok (Client.ping b));
+                            Thread.join slow)));
+                (match lines "QUERY" with
+                | [ line ] -> check_bool "the query's steps" true (json_int "steps" line > 0)
+                | l -> Alcotest.failf "expected 1 QUERY line, got %d" (List.length l));
+                match lines "PING" with
+                | [ line ] -> check_int "PING steps" 0 (json_int "steps" line)
+                | l -> Alcotest.failf "expected 1 PING line, got %d" (List.length l))));
+  ]
+
+(* --- a host name binds and connects like its address --- *)
+
+let host_name_case =
+  t "a server bound to localhost answers a client dialing localhost" `Quick (fun () ->
+      with_server ~cfg:{ Server.default_config with host = "localhost" } (fun server ->
+          let c = Client.conn ~host:"localhost" (Server.port server) in
+          Fun.protect
+            ~finally:(fun () -> Client.close_conn c)
+            (fun () ->
+              match Client.call c Protocol.Ping Client.ping with
+              | Ok pong -> check_string "pong" "pong" pong
+              | Error (Client.Failed why) -> Alcotest.failf "failed: %s" why
+              | Error (Client.Refused { message; _ }) -> Alcotest.failf "refused: %s" message)))
+
+(* --- the admission gate's wait line --- *)
+
+(* Three rounds, so a gate that admits its two waiters in an arbitrary
+   order passes with odds 1 in 8 instead of 1 in 2. *)
+let gate_order_case =
+  t "admission gate: waiters run in arrival order; a full line is OVERLOADED" `Slow (fun () ->
+      with_access_log (fun oc lines ->
+          let cfg =
+            {
+              Server.default_config with
+              workers = 1;
+              queue_capacity = 2;
+              default_max_steps = 0;
+              access_log = Some oc;
+            }
+          in
+          let rounds = 3 in
+          let pongs = ref [] and m = Mutex.create () in
+          let ping conn () =
+            let r = match Client.ping conn with Ok p -> p | Error { Client.message; _ } -> message in
+            Mutex.protect m (fun () -> pongs := r :: !pongs)
+          in
+          with_server ~cfg (fun server ->
+              (* a round trip each before the next connects, so the
+                 connection ids follow a < b < c < d *)
+              let connect () =
+                let c = Client.connect (Server.port server) in
+                ignore (ok (Client.consult c loop_program));
+                c
+              in
+              let a = connect () in
+              let b = connect () in
+              let c = connect () in
+              let d = connect () in
+              Fun.protect
+                ~finally:(fun () -> List.iter Client.close [ a; b; c; d ])
+                (fun () ->
+                  for _ = 1 to rounds do
+                    await_idle server;
+                    (* a holds the one slot for 400 ms... *)
+                    let ta =
+                      Thread.create
+                        (fun () -> ignore (Client.query ~timeout_ms:400 a "loop(1)"))
+                        ()
+                    in
+                    await_gauge server "xsb_in_flight_requests" (( = ) 1.0);
+                    (* ...b and then c line up behind it... *)
+                    let tb = Thread.create (ping b) () in
+                    await_gauge server "xsb_queue_depth" (( = ) 1.0);
+                    let tc = Thread.create (ping c) () in
+                    await_gauge server "xsb_queue_depth" (( = ) 2.0);
+                    (* ...and the line is full *)
+                    (match Client.ping d with
+                    | Error { Client.code = Protocol.Overloaded; _ } -> ()
+                    | Ok _ -> Alcotest.fail "expected OVERLOADED, got pong"
+                    | Error { Client.code; _ } ->
+                        Alcotest.failf "expected OVERLOADED, got %s"
+                          (Protocol.err_code_name code));
+                    List.iter Thread.join [ ta; tb; tc ]
+                  done));
+          check_bool "every waiter answered" true
+            (!pongs = List.init (2 * rounds) (fun _ -> "pong"));
+          (* with one slot, a waiter's line is written before the next
+             one runs: the log shows the admission order *)
+          let admitted =
+            lines "PING"
+            |> List.filter (fun json ->
+                   Option.bind (Xsb.Json.member "outcome" json) Xsb.Json.as_string = Some "ok")
+            |> List.map (json_int "conn")
+          in
+          match List.sort_uniq compare admitted with
+          | [ b; c ] ->
+              check_bool "b before c in every round" true
+                (admitted = List.concat (List.init rounds (fun _ -> [ b; c ])))
+          | ids -> Alcotest.failf "expected ok PINGs from 2 connections, got %d" (List.length ids)))
+
 let suite =
   protocol_cases @ bounded_cases @ negative_cases @ server_cases @ metrics_cases
   @ [ isolation_case; backpressure_case; shutdown_case ]
   @ reply_cases @ [ slow_reader_case ] @ log_failure_cases @ profile_cases @ call_cases
+  @ work_cases @ [ host_name_case; gate_order_case ]
