@@ -492,57 +492,36 @@ let mark_failed j site =
   Condition.broadcast j.acked;
   Condition.broadcast j.sync_done
 
-(* every I/O primitive passes its named failpoint first; a Unix error
-   or an injected [Fail] poisons the journal (typed [Io_error], the
-   server's read-only trigger), an injected crash raises
-   [Failpoint.Injected_crash] after mimicking the partial effect *)
+let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let write_site j site fd bytes =
-  (match Failpoint.check site with
+(* The one failpoint wrapper of the write path: [f] runs after the
+   failpoint [site]. An injected [Fail], or a Unix error from [f],
+   calls [poison site] and raises the typed [Io_error] (for the journal
+   that poisoning is the server's read-only trigger); an injected crash
+   calls [poison site] and raises [Failpoint.Injected_crash] after
+   [torn n] has mimicked the first [n] bytes of a short write.
+   [~fp:false] skips the failpoint: recovery's own writes have none. *)
+let io ?(fp = true) ?(torn = ignore) ?(poison = ignore) site f =
+  (match if fp then Failpoint.check site else None with
+  | None -> ()
   | Some Failpoint.Fail ->
-      mark_failed j site;
+      poison site;
       io_error site "injected I/O failure"
-  | Some (Failpoint.Short_write n) ->
-      mark_failed j site;
-      let n = min (max n 0) (String.length bytes) in
-      (try write_all fd (String.sub bytes 0 n) with Unix.Unix_error _ -> ());
-      raise (Failpoint.Injected_crash site)
-  | Some Failpoint.Crash ->
-      mark_failed j site;
-      raise (Failpoint.Injected_crash site)
-  | None -> ());
-  try write_all fd bytes
+  | Some action ->
+      poison site;
+      (match action with
+      | Failpoint.Short_write n -> ( try torn n with Unix.Unix_error _ -> ())
+      | Failpoint.Fail | Failpoint.Crash -> ());
+      raise (Failpoint.Injected_crash site));
+  try f ()
   with Unix.Unix_error (e, _, _) ->
-    mark_failed j site;
+    poison site;
     io_error site (Unix.error_message e)
 
-let fsync_site j site fd =
-  (match Failpoint.check site with
-  | Some Failpoint.Fail ->
-      mark_failed j site;
-      io_error site "injected fsync failure"
-  | Some (Failpoint.Crash | Failpoint.Short_write _) ->
-      mark_failed j site;
-      raise (Failpoint.Injected_crash site)
-  | None -> ());
-  try Unix.fsync fd
-  with Unix.Unix_error (e, _, _) ->
-    mark_failed j site;
-    io_error site (Unix.error_message e)
-
-let rename_site j site src dst =
-  (match Failpoint.check site with
-  | Some Failpoint.Fail ->
-      mark_failed j site;
-      io_error site "injected rename failure"
-  | Some (Failpoint.Crash | Failpoint.Short_write _) ->
-      mark_failed j site;
-      raise (Failpoint.Injected_crash site)
-  | None -> ());
-  try Unix.rename src dst
-  with Unix.Unix_error (e, _, _) ->
-    mark_failed j site;
-    io_error site (Unix.error_message e)
+let write_at ?fp ?poison site fd bytes =
+  io ?fp ?poison site
+    ~torn:(fun n -> write_all fd (String.sub bytes 0 (min (max n 0) (String.length bytes))))
+    (fun () -> write_all fd bytes)
 
 (* directory fsync: makes a rename durable. Some filesystems refuse
    fsync on directories; that is not a data-loss signal. *)
@@ -551,18 +530,48 @@ let fsync_dir_raw dir =
   | exception Unix.Unix_error _ -> ()
   | fd ->
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
+      close_noerr fd
 
-let fsync_dir_site j site dir =
-  (match Failpoint.check site with
-  | Some Failpoint.Fail ->
-      mark_failed j site;
-      io_error site "injected directory fsync failure"
-  | Some (Failpoint.Crash | Failpoint.Short_write _) ->
-      mark_failed j site;
-      raise (Failpoint.Injected_crash site)
-  | None -> ());
-  fsync_dir_raw dir
+let sync_dir ?poison site dir = io ?poison site (fun () -> fsync_dir_raw dir)
+
+(* Atomic publish, the one way a file of the data directory is
+   replaced: [bytes] go to [path].tmp, which is fsynced and renamed over
+   [path], so a crash leaves either the old file or the whole new one —
+   never a torn one. The caller fsyncs the directory to make the rename
+   durable. Returns the new file's fd (a new inode: a hard link to the
+   old file keeps the old bytes), positioned after [bytes]. The three
+   sites name the write, the fsync and the rename. *)
+let publish ?fp ?poison (write, sync, rename) path bytes =
+  let tmp = path ^ ".tmp" in
+  let fd =
+    io ~fp:false ?poison write (fun () ->
+        Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644)
+  in
+  match
+    write_at ?fp ?poison write fd bytes;
+    io ?fp ?poison sync (fun () -> Unix.fsync fd);
+    io ?fp ?poison rename (fun () -> Unix.rename tmp path)
+  with
+  | () -> fd
+  | exception e ->
+      close_noerr fd;
+      raise e
+
+(* the one header-epoch stamp: rewrite the 8 epoch bytes of a journal
+   header in place (the rest of the file is untouched, so mirrors stay
+   byte-prefixes everywhere except this one fenced field). A file not
+   yet past its header is left alone: the header still to come carries
+   the epoch it was written with. *)
+let stamp_header_epoch ?fp (write, sync) path epoch =
+  let fd = io ~fp:false write (fun () -> Unix.openfile path [ Unix.O_WRONLY ] 0o644) in
+  Fun.protect ~finally:(fun () -> close_noerr fd) @@ fun () ->
+  if io ~fp:false write (fun () -> Unix.lseek fd 0 Unix.SEEK_END) >= header_len then begin
+    let b = Bytes.create 8 in
+    Bytes.set_int64_be b 0 epoch;
+    io ~fp:false write (fun () -> ignore (Unix.lseek fd 16 Unix.SEEK_SET));
+    write_at ?fp write fd (Bytes.to_string b);
+    io ?fp sync (fun () -> Unix.fsync fd)
+  end
 
 (* ---------- recovery ---------- *)
 
@@ -586,19 +595,12 @@ let snapshot_path cfg = Filename.concat cfg.dir "snapshot.bin"
 let epochs_path cfg = Filename.concat cfg.dir "epochs.log"
 
 (* a fresh journal containing only its header, published atomically
-   (tmp + rename) so a crash can never leave a torn header behind.
-   The returned fd stays valid across the rename and is positioned at
-   the end of the header. *)
+   so a crash can never leave a torn header behind. The returned fd
+   stays valid across the rename and is positioned at the end of the
+   header. *)
 let create_journal_file jpath gen epoch =
-  let tmp = jpath ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  (try
-     write_all fd (header journal_magic gen epoch);
-     Unix.fsync fd;
-     Unix.rename tmp jpath
-   with Unix.Unix_error (e, _, _) ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     io_error "journal.open" (Unix.error_message e));
+  let site = "journal.open" in
+  let fd = publish ~fp:false (site, site, site) jpath (header journal_magic gen epoch) in
   fsync_dir_raw (Filename.dirname jpath);
   fd
 
@@ -606,7 +608,7 @@ let create_journal_file jpath gen epoch =
 
 (* fsync now (caller holds [m]) and release every barrier waiter *)
 let do_sync j =
-  fsync_site j "journal.append.sync" j.fd;
+  io ~poison:(mark_failed j) "journal.append.sync" (fun () -> Unix.fsync j.fd);
   j.synced <- j.written;
   j.synced_records <- j.appended_records;
   j.pending <- 0;
@@ -676,7 +678,7 @@ let committer_loop j window_us max_batch =
         Mutex.unlock j.m;
         let failure =
           try
-            fsync_site j "journal.append.sync" j.fd;
+            io ~poison:(mark_failed j) "journal.append.sync" (fun () -> Unix.fsync j.fd);
             None
           with e -> Some e
         in
@@ -878,7 +880,7 @@ let archive_snapshot_path cfg gen =
 (* archive by hard link: the rotation rename then replaces the
    directory entry while the old inode lives on under the archive name
    — no data is copied. Best-effort: a crash in between just leaves an
-   archive that the next compaction overwrites. *)
+   archive that the next rotation overwrites. *)
 let link_replace src dst =
   (try Unix.unlink dst with Unix.Unix_error _ -> ());
   try Unix.link src dst with Unix.Unix_error _ -> ()
@@ -906,6 +908,46 @@ let prune_archives cfg ~next_gen =
                 | _ -> ()))
           entries
 
+(* the generation a file's header names, if it has a whole header *)
+let header_generation path =
+  match open_in_bin path with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          if in_channel_length ic < header_len then None
+          else Some (String.get_int64_be (really_input_string ic header_len) 8))
+
+(* The generation boundary, the one sequence both writers of a data
+   directory run (compaction on a primary, {!Mirror.snapshot} on a
+   standby). With [archive], the outgoing snapshot.bin is set aside
+   under the generation its header names (the replay base of the
+   oldest archived journal). [snapshot], covering [gen], is published
+   and [published] runs once it is durable: from here on recovery
+   prefers it and ignores the stale-generation journal. With
+   [archive], the outgoing journal.log is kept as journal.<gen>.log.
+   Then [journal] (the first bytes of generation [gen + 1]) is
+   published as the new journal.log — a new inode, so the archive
+   keeps the old bytes — and its fd goes to [switch] before the
+   directory fsync: the rename is the commit point. Last, old
+   archives are pruned. [sites] names the write, fsync and rename of
+   each publish and the directory fsync. *)
+let rotate cfg ~poison ~sites:(snap_sites, journal_sites, dir_site) ~archive ~gen ~snapshot
+    ~journal ~published ~switch =
+  let jpath = journal_path cfg and spath = snapshot_path cfg in
+  (if archive then
+     match header_generation spath with
+     | Some g -> link_replace spath (archive_snapshot_path cfg g)
+     | None -> ());
+  close_noerr (publish ~poison snap_sites spath snapshot);
+  sync_dir ~poison dir_site cfg.dir;
+  published ();
+  if archive then link_replace jpath (archive_journal_path cfg gen);
+  switch (publish ~poison journal_sites jpath journal);
+  sync_dir ~poison dir_site cfg.dir;
+  prune_archives cfg ~next_gen:(Int64.succ gen)
+
 let compact_locked j =
   guard_usable j;
   (* never swap the fd away underneath the committer's in-flight fsync *)
@@ -913,71 +955,33 @@ let compact_locked j =
     Condition.wait j.sync_done j.m
   done;
   guard_usable j;
-  let jpath = journal_path j.cfg and spath = snapshot_path j.cfg in
-  let archiving = j.cfg.keep_generations > 0 in
-  (* 0. when archiving, settle the outgoing generation onto disk so the
-     archived file is complete, and set aside the snapshot the rename
-     below would otherwise overwrite (it is the replay base for the
-     oldest archived journal) *)
-  if archiving then begin
-    if j.written > j.synced then do_sync j;
-    if Sys.file_exists spath then
-      link_replace spath (archive_snapshot_path j.cfg (Int64.pred j.generation))
-  end;
-  (* 1. write the snapshot aside *)
-  let stmp = spath ^ ".tmp" in
+  let archive = j.cfg.keep_generations > 0 in
+  (* when archiving, settle the outgoing generation onto disk so the
+     archived file is complete *)
+  if archive && j.written > j.synced then do_sync j;
   let b = Buffer.create 65536 in
   Buffer.add_string b (header snapshot_magic j.generation j.epoch);
   List.iter (fun m -> Buffer.add_string b (frame (encode_mutation m))) (snapshot_records j);
-  let sfd =
-    try Unix.openfile stmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    with Unix.Unix_error (e, _, _) ->
-      mark_failed j "snapshot.write";
-      io_error "snapshot.write" (Unix.error_message e)
-  in
-  (try
-     write_site j "snapshot.write" sfd (Buffer.contents b);
-     fsync_site j "snapshot.sync" sfd
-   with e ->
-     (try Unix.close sfd with Unix.Unix_error _ -> ());
-     raise e);
-  (try Unix.close sfd with Unix.Unix_error _ -> ());
-  (* 2. publish it atomically: after this rename, recovery prefers the
-     snapshot and ignores the (now stale-generation) journal *)
-  rename_site j "snapshot.rename" stmp spath;
-  fsync_dir_site j "dir.sync" j.cfg.dir;
-  (* everything enqueued so far is now durable through the snapshot,
-     whether or not its journal bytes were ever fsynced *)
-  j.synced_records <- j.appended_records;
-  Condition.broadcast j.acked;
-  (* 2b. keep the outgoing generation around for point-in-time recovery
-     and standby catch-up *)
-  if archiving then link_replace jpath (archive_journal_path j.cfg j.generation);
-  (* 3. rotate the journal to the next generation *)
   let next = Int64.add j.generation 1L in
-  let jtmp = jpath ^ ".tmp" in
-  let nfd =
-    try Unix.openfile jtmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    with Unix.Unix_error (e, _, _) ->
-      mark_failed j "journal.rotate.write";
-      io_error "journal.rotate.write" (Unix.error_message e)
-  in
-  (try
-     write_site j "journal.rotate.write" nfd (header journal_magic next j.epoch);
-     fsync_site j "journal.rotate.sync" nfd
-   with e ->
-     (try Unix.close nfd with Unix.Unix_error _ -> ());
-     raise e);
-  rename_site j "journal.rotate.rename" jtmp jpath;
-  fsync_dir_site j "dir.sync" j.cfg.dir;
-  (try Unix.close j.fd with Unix.Unix_error _ -> ());
-  j.fd <- nfd;
-  j.generation <- next;
-  j.written <- header_len;
-  j.synced <- header_len;
-  j.pending <- 0;
-  j.stats.compactions <- j.stats.compactions + 1;
-  prune_archives j.cfg ~next_gen:next
+  rotate j.cfg ~poison:(mark_failed j) ~archive ~gen:j.generation
+    ~sites:
+      ( ("snapshot.write", "snapshot.sync", "snapshot.rename"),
+        ("journal.rotate.write", "journal.rotate.sync", "journal.rotate.rename"),
+        "dir.sync" )
+    ~snapshot:(Buffer.contents b) ~journal:(header journal_magic next j.epoch)
+    ~published:(fun () ->
+      (* everything enqueued so far is now durable through the
+         snapshot, whether or not its journal bytes were ever fsynced *)
+      j.synced_records <- j.appended_records;
+      Condition.broadcast j.acked)
+    ~switch:(fun fd ->
+      close_noerr j.fd;
+      j.fd <- fd;
+      j.generation <- next;
+      j.written <- header_len;
+      j.synced <- header_len;
+      j.pending <- 0);
+  j.stats.compactions <- j.stats.compactions + 1
 
 let with_lock j f =
   Mutex.lock j.m;
@@ -1002,7 +1006,7 @@ let append_k j ~wait ms =
       List.iter
         (fun m -> match m with Declare_op _ -> j.op_decls <- m :: j.op_decls | _ -> ())
         ms;
-      write_site j "journal.append.write" j.fd bytes;
+      write_at ~poison:(mark_failed j) "journal.append.write" j.fd bytes;
       j.written <- j.written + String.length bytes;
       j.pending <- j.pending + n;
       j.appended_records <- j.appended_records + n;
@@ -1105,34 +1109,16 @@ let bump_epoch j =
   let old = j.epoch in
   let next = Int64.add old 1L in
   let epath = epochs_path j.cfg in
-  (match
-     Unix.openfile epath [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-   with
-  | exception Unix.Unix_error (e, _, _) -> io_error "epoch.fence" (Unix.error_message e)
-  | fd ->
-      (try
-         write_all fd (Printf.sprintf "%Ld %Ld %d\n" old j.generation j.synced);
-         Unix.fsync fd
-       with Unix.Unix_error (e, _, _) ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         io_error "epoch.fence" (Unix.error_message e));
-      (try Unix.close fd with Unix.Unix_error _ -> ()));
-  (* rewrite the 8 epoch bytes of the live header in place: the rest of
-     the file is untouched, so mirrors remain byte-prefixes everywhere
-     except this one fenced field *)
-  (match Unix.openfile (journal_path j.cfg) [ Unix.O_WRONLY ] 0o644 with
-  | exception Unix.Unix_error (e, _, _) -> io_error "epoch.stamp" (Unix.error_message e)
-  | fd ->
-      (try
-         ignore (Unix.lseek fd 16 Unix.SEEK_SET);
-         let b = Buffer.create 8 in
-         Buffer.add_int64_be b next;
-         write_all fd (Buffer.contents b);
-         Unix.fsync fd
-       with Unix.Unix_error (e, _, _) ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         io_error "epoch.stamp" (Unix.error_message e));
-      (try Unix.close fd with Unix.Unix_error _ -> ()));
+  let site = "epoch.fence" in
+  let fd =
+    io ~fp:false site (fun () ->
+        Unix.openfile epath [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644)
+  in
+  Fun.protect ~finally:(fun () -> close_noerr fd) (fun () ->
+      write_at ~fp:false site fd (Printf.sprintf "%Ld %Ld %d\n" old j.generation j.synced);
+      io ~fp:false site (fun () -> Unix.fsync fd));
+  let site = "epoch.stamp" in
+  stamp_header_epoch ~fp:false (site, site) (journal_path j.cfg) next;
   fsync_dir_raw j.cfg.dir;
   j.epoch <- next;
   next
@@ -1222,6 +1208,129 @@ let snapshot_blob_for j gen =
   match covering (snapshot_path j.cfg) with
   | Some buf -> Some buf
   | None -> covering (archive_snapshot_path j.cfg gen)
+
+(* ---------- the standby's mirror ---------- *)
+
+module Mirror = struct
+  type nonrec t = {
+    cfg : config;
+    mutable fd : Unix.file_descr;  (* journal.log, positioned at [frontier + pending] *)
+    mutable gen : int64;
+    mutable frontier : int;  (* frame-aligned: every byte before it has been returned *)
+    pending : Buffer.t;  (* durable bytes past the frontier: an unfinished frame *)
+    mutable fresh : bool;  (* no state, and nothing received since opening *)
+  }
+
+  (* the mirror's own failpoint sites, so arming a primary's journal
+     site never fires inside an in-process standby. Nothing is
+     poisoned: after an I/O error the caller stops using the mirror. *)
+  let write_site = "mirror.write"
+  let sync_site = "mirror.sync"
+
+  let open_ ~dir ~keep_generations ~generation ~offset =
+    let cfg = { (default_config ~dir) with keep_generations } in
+    (* a directory that has never applied anything and has no
+       snapshot asks to be seeded rather than for generation-1 bytes
+       its primary may long have compacted away *)
+    let fresh =
+      Int64.equal generation 1L && offset <= header_len
+      && not (Sys.file_exists (snapshot_path cfg))
+    in
+    let frontier = if fresh then 0 else offset in
+    let fd =
+      io ~fp:false write_site (fun () ->
+          Unix.openfile (journal_path cfg) [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644)
+    in
+    (* drop bytes past the frontier: the tail of a frame the previous
+       session never finished receiving *)
+    (try
+       io ~fp:false write_site (fun () ->
+           Unix.ftruncate fd frontier;
+           ignore (Unix.lseek fd frontier Unix.SEEK_SET))
+     with e ->
+       close_noerr fd;
+       raise e);
+    {
+      cfg;
+      fd;
+      gen = (if fresh then 1L else generation);
+      frontier;
+      pending = Buffer.create 4096;
+      fresh;
+    }
+
+  let position t = (t.gen, t.frontier)
+  let fresh t = t.fresh
+  let close t = close_noerr t.fd
+
+  (* decode the whole frames now in [pending] (after the generation
+     header, which must be complete before the frontier moves) *)
+  let drain t =
+    let buf = Buffer.contents t.pending in
+    let skip = max 0 (header_len - t.frontier) in
+    if String.length buf < skip then []
+    else begin
+      if t.frontier = 0 && String.sub buf 0 8 <> journal_magic then
+        raise
+          (Corrupt_record
+             (Printf.sprintf "replicated generation %Ld does not start with a journal header" t.gen));
+      let records, stop, status = scan buf skip in
+      (match status with `Corrupt msg -> raise (Corrupt_record msg) | `Clean | `Torn -> ());
+      Buffer.clear t.pending;
+      Buffer.add_substring t.pending buf stop (String.length buf - stop);
+      t.frontier <- t.frontier + stop;
+      records
+    end
+
+  let data t ~gen ~off chunk =
+    t.fresh <- false;
+    let expected = t.frontier + Buffer.length t.pending in
+    if not (Int64.equal gen t.gen && off = expected) then Error (t.gen, expected)
+    else begin
+      write_at write_site t.fd chunk;
+      io sync_site (fun () -> Unix.fsync t.fd);
+      Buffer.add_string t.pending chunk;
+      let records = drain t in
+      Ok (records, t.frontier)
+    end
+
+  let snapshot t ~covered blob =
+    if
+      String.length blob < header_len
+      || String.sub blob 0 8 <> snapshot_magic
+      || not (Int64.equal (String.get_int64_be blob 8) covered)
+    then raise (Corrupt_record (Printf.sprintf "bad snapshot blob for generation %Ld" covered));
+    let seed = t.fresh in
+    if not (seed || (Int64.equal covered t.gen && Buffer.length t.pending = 0)) then Error t.gen
+    else begin
+      let records =
+        if not seed then []
+        else
+          match scan blob header_len with
+          | records, _, `Clean -> records
+          | _ -> raise (Corrupt_record "corrupt snapshot stream")
+      in
+      (* an empty journal.log is a valid crash state: recovery recreates
+         the header for generation covered+1, which is exactly what the
+         next DATA frame will deliver. Only a mirror that held [covered]
+         archives it; a seeded one held nothing. *)
+      let sites = (write_site, sync_site, sync_site) in
+      rotate t.cfg ~poison:ignore ~sites:(sites, sites, sync_site)
+        ~archive:((not seed) && t.cfg.keep_generations > 0)
+        ~gen:covered ~snapshot:blob ~journal:"" ~published:ignore
+        ~switch:(fun fd ->
+          close_noerr t.fd;
+          t.fd <- fd;
+          t.gen <- Int64.succ covered;
+          t.frontier <- 0;
+          Buffer.clear t.pending;
+          t.fresh <- false);
+      Ok records
+    end
+
+  let stamp_epoch t epoch =
+    stamp_header_epoch (write_site, sync_site) (journal_path t.cfg) epoch
+end
 
 (* ---------- point-in-time recovery from the archives ---------- *)
 

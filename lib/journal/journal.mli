@@ -222,9 +222,6 @@ val header_len : int
 (** Size of the [journal.log] / [snapshot.bin] file header (24 bytes:
     magic, generation, epoch). The first record starts here. *)
 
-val journal_magic : string
-val snapshot_magic : string
-
 val epoch : t -> int64
 (** The failover fencing epoch stamped in the live journal header.
     Starts at 1 in a fresh directory; moves forward only at
@@ -284,14 +281,8 @@ val snapshot_blob_for : t -> int64 -> string option
     at a generation boundary. *)
 
 val archive_journal_path : config -> int64 -> string
-val archive_snapshot_path : config -> int64 -> string
-
-val prune_archives : config -> next_gen:int64 -> unit
-(** Delete archived generations older than
-    [next_gen - keep_generations] (and the snapshots below their replay
-    base). The journal prunes automatically at each compaction; exposed
-    so a standby mirroring the primary's rotations can apply the same
-    retention to its own copies. *)
+(** [journal.<gen>.log] in the data directory: where a rotation keeps
+    generation [gen] when [keep_generations > 0]. *)
 
 val recover_at : ?upto:int -> dir:string -> generation:int64 -> Database.t -> int
 (** Point-in-time recovery from the archives: rebuild the state the
@@ -301,6 +292,68 @@ val recover_at : ?upto:int -> dir:string -> generation:int64 -> Database.t -> in
     when the generation has not rotated away yet). Returns the number
     of journal records applied. Raises {!Recovery_error} if the needed
     archives were pruned. *)
+
+(** {1 The standby's mirror}
+
+    A standby's data directory has the same layout as its primary's,
+    and this is its only writer: the replication applier hands it the
+    raw bytes the primary ships, and the mirror keeps [journal.log] a
+    byte-for-byte prefix of the primary's generation, installs each
+    snapshot at a generation boundary with the same rotation compaction
+    runs (archives, atomic publish, pruning), and stamps adopted epochs
+    into the header — so the directory always recovers, and promotes
+    through {!resume}, like a primary's. Writes pass their own
+    failpoint sites, [mirror.write] and [mirror.sync]. An I/O failure
+    raises {!Io_error}; the caller must then stop using the mirror
+    (a standby parks). *)
+module Mirror : sig
+  type t
+
+  val open_ : dir:string -> keep_generations:int -> generation:int64 -> offset:int -> t
+  (** Open [journal.log] at the frame-aligned frontier [(generation,
+      offset)] (the position recovery reported, or where the previous
+      mirror left off) and truncate any torn tail past it. A directory
+      with no state — generation 1, nothing past the header, no
+      snapshot — is {!fresh}: its journal is emptied so the stream can
+      start from byte 0 or seed it with a snapshot. *)
+
+  val fresh : t -> bool
+  (** The mirror holds no state and has received nothing yet: it asks
+      its primary to seed it ([HELLO .. 0 0]). *)
+
+  val position : t -> int64 * int
+  (** [(generation, frontier)]: every byte before the frontier is
+      durable and has been returned as records (offsets include the
+      file header). *)
+
+  val data : t -> gen:int64 -> off:int -> string -> (mutation list * int, int64 * int) result
+  (** Write and fsync one chunk of generation [gen] at byte [off] —
+      one [write(2)] and one [fsync(2)] — then return the complete
+      records it can now decode and the new frame-aligned frontier. A
+      chunk that does not start where the mirror ends is refused
+      unwritten: [Error] carries the expected [(generation, offset)].
+      Raises {!Corrupt_record} on a bad header or a corrupt record. *)
+
+  val snapshot : t -> covered:int64 -> string -> (mutation list, int64) result
+  (** Install a verbatim snapshot file covering generation [covered]:
+      validate its header, archive the outgoing pair (when the mirror
+      held [covered] and [keep_generations > 0]), publish it as
+      [snapshot.bin], start an empty [journal.log] for [covered + 1]
+      and prune old archives. A {!fresh} mirror is being seeded: the
+      blob's records are returned for the caller to apply (they are
+      checked before anything is written). Otherwise they are already
+      live and [[]] is returned. [Error local_generation] when the
+      snapshot is neither a seed nor the boundary of the generation
+      the mirror holds in full. Raises {!Corrupt_record} on a bad
+      blob. *)
+
+  val stamp_epoch : t -> int64 -> unit
+  (** Write an adopted epoch into the mirrored header (the primary
+      rewrote its own in place, which the byte stream never re-ships),
+      so a restart does not resurrect the old epoch. *)
+
+  val close : t -> unit
+end
 
 (** {1 Metrics} *)
 

@@ -3,7 +3,8 @@
    The primary streams its journal — the exact framed bytes the crash
    recovery path already trusts — to standbys over a small wire
    protocol; a standby mirrors those bytes into its own data directory
-   (so its files are byte-for-byte a prefix of the primary's) and
+   through [Journal.Mirror] (so its files are byte-for-byte a prefix of
+   the primary's; this module does no file I/O) and
    applies each record to its live session as it decodes. Only bytes
    the primary has fsynced are ever shipped, so a standby can never
    hold state its primary could still lose.
@@ -43,7 +44,6 @@
    archive). *)
 
 let proto_tag = "XSBR2"
-let header_len = Xsb.Journal.header_len
 let chunk_bytes = 256 * 1024
 let max_blob = 256 * 1024 * 1024
 let poll_interval = 0.005
@@ -84,22 +84,6 @@ let parse_epoch e =
   match Int64.of_string_opt e with
   | Some e when Int64.compare e 0L >= 0 -> e
   | _ -> proto_error "bad epoch %S" e
-
-let write_all fd s =
-  let len = String.length s in
-  let rec go off = if off < len then go (off + Unix.write_substring fd s off (len - off)) in
-  go 0
-
-let link_replace src dst =
-  (try Unix.unlink dst with Unix.Unix_error _ -> ());
-  try Unix.link src dst with Unix.Unix_error _ -> ()
-
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
 
 (* (gen, off) ordering: generations are totally ordered and offsets
    within one generation are byte offsets of the same file bytes *)
@@ -553,24 +537,16 @@ module Standby = struct
     mutable thread : Thread.t option;
   }
 
-  (* unrecoverable by reconnecting (stale position, corrupt stream):
-     the applier parks with the reason instead of retrying forever *)
+  (* unrecoverable by reconnecting (stale position, corrupt stream,
+     a mirror I/O failure): the applier parks with the reason instead
+     of retrying forever *)
   exception Fatal of string
 
   let fatal fmt = Printf.ksprintf (fun m -> raise (Fatal m)) fmt
-  let journal_file t = Filename.concat t.dir "journal.log"
-  let snapshot_file t = Filename.concat t.dir "snapshot.bin"
 
   let with_lock t f =
     Mutex.lock t.m;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
-  (* the standby has never applied anything and has no snapshot: ask
-     the primary to seed it rather than for generation-1 bytes it may
-     long have compacted away *)
-  let is_fresh t =
-    Int64.equal t.gen 1L && t.applied_off <= header_len
-    && not (Sys.file_exists (snapshot_file t))
 
   let lag_of t =
     if Int64.equal t.primary_gen 0L then 0 (* no heartbeat yet *)
@@ -593,102 +569,26 @@ module Standby = struct
           fatal = t.fatal;
         })
 
-  let journal_cfg t =
-    { (Xsb.Journal.default_config ~dir:t.dir) with Xsb.Journal.keep_generations = t.keep_generations }
-
-  (* A new primary's first EPOCH frame: stamp the adopted epoch into the
-     mirrored journal header. The primary bumped its own header with an
-     in-place rewrite that the byte stream never re-ships, so without
-     this the standby's header would resurrect the old epoch after a
-     local restart. *)
-  let stamp_epoch t e =
-    match Unix.openfile (journal_file t) [ Unix.O_WRONLY ] 0o644 with
-    | exception Unix.Unix_error _ -> ()
-    | fd ->
-        let size = try (Unix.fstat fd).Unix.st_size with Unix.Unix_error _ -> 0 in
-        if size >= header_len then
-          (try
-             ignore (Unix.lseek fd 16 Unix.SEEK_SET);
-             let b = Buffer.create 8 in
-             Buffer.add_int64_be b e;
-             write_all fd (Buffer.contents b);
-             Unix.fsync fd
-           with Unix.Unix_error _ -> ());
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-
-  let adopt_epoch t e =
+  (* A new primary's first EPOCH frame: the mirror stamps the adopted
+     epoch into its journal header *)
+  let adopt_epoch t mirror e =
     let local = with_lock t (fun () -> t.epoch) in
     if Int64.compare e local < 0 then
       fatal "primary speaks stale epoch %Ld (this standby already saw epoch %Ld)" e local
     else if Int64.compare e local > 0 then begin
-      stamp_epoch t e;
+      Xsb.Journal.Mirror.stamp_epoch mirror e;
       with_lock t (fun () -> t.epoch <- e)
     end
 
-  (* Install a snapshot covering [covered]: publish it as snapshot.bin
-     (archiving the outgoing pair like the primary's compaction does),
-     reset journal.log to an empty file awaiting generation covered+1,
-     and — only when seeding a fresh standby — replay its records into
-     the session. At a rotation boundary the records are already live
-     in the session; only the files change. *)
-  let install_snapshot t ~covered ~blob ~seed =
-    if String.length blob < header_len || String.sub blob 0 8 <> Xsb.Journal.snapshot_magic then
-      fatal "bad snapshot blob for generation %Ld" covered;
-    if not (Int64.equal (String.get_int64_be blob 8) covered) then
-      fatal "snapshot generation mismatch (header %Ld, announced %Ld)"
-        (String.get_int64_be blob 8) covered;
-    let jpath = journal_file t and spath = snapshot_file t in
-    if (not seed) && t.keep_generations > 0 then begin
-      (match
-         try
-           let ic = open_in_bin spath in
-           Fun.protect
-             ~finally:(fun () -> close_in_noerr ic)
-             (fun () -> if in_channel_length ic >= header_len then Some (really_input_string ic header_len) else None)
-         with Sys_error _ -> None
-       with
-      | Some hdr -> link_replace spath (Xsb.Journal.archive_snapshot_path (journal_cfg t) (String.get_int64_be hdr 8))
-      | None -> ());
-      link_replace jpath (Xsb.Journal.archive_journal_path (journal_cfg t) covered)
-    end;
-    let stmp = spath ^ ".tmp" in
-    (match Unix.openfile stmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 with
-    | exception Unix.Unix_error (e, _, _) -> fatal "snapshot install: %s" (Unix.error_message e)
-    | fd ->
-        (try
-           write_all fd blob;
-           Unix.fsync fd
-         with Unix.Unix_error (e, _, _) ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           fatal "snapshot install: %s" (Unix.error_message e));
-        (try Unix.close fd with Unix.Unix_error _ -> ()));
-    (try Unix.rename stmp spath
-     with Unix.Unix_error (e, _, _) -> fatal "snapshot install: %s" (Unix.error_message e));
-    (* an empty journal.log is a valid crash state: recovery recreates
-       the header for generation covered+1, which is exactly what the
-       next DATA frame will deliver *)
-    (match Unix.openfile jpath [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 with
-    | exception Unix.Unix_error (e, _, _) -> fatal "journal reset: %s" (Unix.error_message e)
-    | fd -> ( try Unix.close fd with Unix.Unix_error _ -> ()));
-    fsync_dir t.dir;
-    if seed then begin
-      let pos = ref header_len in
-      let continue = ref true in
-      while !continue do
-        match Xsb.Journal.read_framed blob !pos with
-        | Xsb.Journal.Record (m, next) ->
-            t.apply m;
-            with_lock t (fun () -> t.applied_records <- t.applied_records + 1);
-            pos := next
-        | Xsb.Journal.End_clean -> continue := false
-        | Xsb.Journal.End_torn | Xsb.Journal.Corrupt _ -> fatal "corrupt snapshot stream"
-      done
-    end;
+  (* apply the records the mirror made durable, then publish its new
+     frontier [(g, o)]: only what is both persisted and applied is ever
+     ACKed *)
+  let apply_all t records (g, o) =
+    List.iter t.apply records;
     with_lock t (fun () ->
-        t.gen <- Int64.succ covered;
-        t.applied_off <- 0;
-        t.snapshots_received <- t.snapshots_received + 1);
-    Xsb.Journal.prune_archives (journal_cfg t) ~next_gen:(Int64.succ covered)
+        t.applied_records <- t.applied_records + List.length records;
+        t.gen <- g;
+        t.applied_off <- o)
 
   let connect_once t =
     let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -700,26 +600,19 @@ module Standby = struct
        raise e);
     fd
 
-  let session t fd =
+  let session t fd mirror =
     let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
-    let fresh = with_lock t (fun () -> is_fresh t) in
-    if fresh then begin
-      (* discard the header-only local journal: the stream re-delivers
-         generation 1 from byte 0 (or seeds us with a snapshot) *)
-      (match Unix.openfile (journal_file t) [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 with
-      | exception Unix.Unix_error _ -> ()
-      | jfd -> ( try Unix.close jfd with Unix.Unix_error _ -> ()));
-      with_lock t (fun () ->
-          t.gen <- 1L;
-          t.applied_off <- 0)
-    end;
-    let hello_epoch, hello_gen, hello_off =
-      with_lock t (fun () -> if fresh then (t.epoch, 0L, 0) else (t.epoch, t.gen, t.applied_off))
+    (* a fresh mirror starts over at generation 1, offset 0 *)
+    apply_all t [] (Xsb.Journal.Mirror.position mirror);
+    let hello_gen, hello_off =
+      if Xsb.Journal.Mirror.fresh mirror then (0L, 0) else Xsb.Journal.Mirror.position mirror
     in
-    Printf.fprintf oc "%s HELLO %Ld %Ld %d\n" proto_tag hello_epoch hello_gen hello_off;
+    Printf.fprintf oc "%s HELLO %Ld %Ld %d\n" proto_tag (with_lock t (fun () -> t.epoch))
+      hello_gen hello_off;
     flush oc;
     (* report the persisted+applied frontier back to the primary's
-       semi-sync barrier — after every drain and on every heartbeat *)
+       semi-sync barrier — after every frame that moved it and on every
+       heartbeat *)
     let send_ack () =
       (match Xsb.Failpoint.check "repl.standby.ack" with
       | Some _ -> raise (Xsb.Failpoint.Injected_crash "repl.standby.ack")
@@ -729,125 +622,52 @@ module Standby = struct
       flush oc
     in
     let touch () = with_lock t (fun () -> t.last_contact <- Xsb.Mclock.now ()) in
-    (* the mirror fd: raw primary bytes land here, making the local
-       journal.log a byte-for-byte prefix of the primary's *)
-    let mirror = ref None in
-    let close_mirror () =
-      match !mirror with
-      | Some mfd ->
-          (try Unix.fsync mfd with Unix.Unix_error _ -> ());
-          (try Unix.close mfd with Unix.Unix_error _ -> ());
-          mirror := None
-      | None -> ()
-    in
-    let mirror_fd () =
-      match !mirror with
-      | Some mfd -> mfd
-      | None ->
-          let mfd = Unix.openfile (journal_file t) [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
-          (* drop bytes past the applied frontier: the tail of a frame
-             we never finished receiving on the previous connection *)
-          (try Unix.ftruncate mfd t.applied_off with Unix.Unix_error _ -> ());
-          ignore (Unix.lseek mfd t.applied_off Unix.SEEK_SET);
-          mirror := Some mfd;
-          mfd
-    in
-    let pending = Buffer.create 4096 in
-    let persist_off = ref (with_lock t (fun () -> t.applied_off)) in
-    let expect_seed = ref fresh in
-    (* decode complete frames out of [pending] and apply them; the
-       applied frontier only ever advances past whole frames (and the
-       generation header), so a reconnect resumes cleanly *)
-    let drain () =
-      let buf = Buffer.contents pending in
-      let base = with_lock t (fun () -> t.applied_off) in
-      let start =
-        if base >= header_len then Some 0
-        else if String.length buf >= header_len - base then begin
-          if base = 0 && String.sub buf 0 8 <> Xsb.Journal.journal_magic then
-            fatal "replicated generation %Ld does not start with a journal header" t.gen;
-          Some (header_len - base)
-        end
-        else None (* mid-header: wait for more bytes *)
-      in
-      match start with
-      | None -> ()
-      | Some pos0 ->
-          let pos = ref pos0 in
-          let continue = ref true in
-          while !continue do
-            match Xsb.Journal.read_framed buf !pos with
-            | Xsb.Journal.Record (m, next) ->
-                t.apply m;
-                with_lock t (fun () ->
-                    t.applied_records <- t.applied_records + 1;
-                    t.applied_off <- base + next);
-                pos := next
-            | Xsb.Journal.End_clean | Xsb.Journal.End_torn -> continue := false
-            | Xsb.Journal.Corrupt msg -> fatal "corrupt replicated record: %s" msg
-          done;
-          if !pos > 0 then begin
-            let rest = String.sub buf !pos (String.length buf - !pos) in
-            Buffer.clear pending;
-            Buffer.add_string pending rest;
-            with_lock t (fun () -> t.applied_off <- base + !pos)
-          end
-    in
-    Fun.protect ~finally:close_mirror @@ fun () ->
     while not (Atomic.get t.stopped) do
       let line = read_line_bounded ic in
       touch ();
       match words line with
-      | [ "DATA"; g; o; lenw ] ->
+      | [ "DATA"; g; o; lenw ] -> (
           let g, o = parse_pos g o in
           let len = parse_len lenw in
           let data = really_input_string ic len in
-          expect_seed := false;
-          if not (Int64.equal g t.gen) || o <> !persist_off then
-            proto_error "DATA at %Ld/%d but standby expects %Ld/%d" g o t.gen !persist_off;
           (match Xsb.Failpoint.check "repl.standby.apply" with
           | Some _ -> raise (Xsb.Failpoint.Injected_crash "repl.standby.apply")
           | None -> ());
-          let mfd = mirror_fd () in
-          write_all mfd data;
-          (try Unix.fsync mfd with Unix.Unix_error _ -> ());
-          persist_off := o + len;
-          Buffer.add_string pending data;
-          with_lock t (fun () ->
-              if Int64.equal t.primary_gen g then t.primary_off <- max t.primary_off (o + len)
-              else if Int64.compare t.primary_gen g < 0 then begin
-                t.primary_gen <- g;
-                t.primary_off <- o + len
-              end);
-          drain ();
-          send_ack ()
-      | [ "SNAP"; g; lenw ] ->
+          match Xsb.Journal.Mirror.data mirror ~gen:g ~off:o data with
+          | Error (eg, eo) -> proto_error "DATA at %Ld/%d but standby expects %Ld/%d" g o eg eo
+          | Ok (records, frontier) ->
+              with_lock t (fun () ->
+                  if Int64.equal t.primary_gen g then t.primary_off <- max t.primary_off (o + len)
+                  else if Int64.compare t.primary_gen g < 0 then begin
+                    t.primary_gen <- g;
+                    t.primary_off <- o + len
+                  end);
+              apply_all t records (g, frontier);
+              send_ack ())
+      | [ "SNAP"; g; lenw ] -> (
           let covered =
             match Int64.of_string_opt g with
             | Some g when Int64.compare g 0L > 0 -> g
             | _ -> proto_error "bad SNAP generation %S" g
           in
           let blob = really_input_string ic (parse_len lenw) in
-          close_mirror ();
-          if !expect_seed then install_snapshot t ~covered ~blob ~seed:true
-          else if
-            Int64.equal covered t.gen && Buffer.length pending = 0
-            && !persist_off = t.applied_off
-          then install_snapshot t ~covered ~blob ~seed:false
-          else
-            fatal
-              "primary compacted past this standby's position (generation %Ld vs local %Ld); \
-               re-seed it from an empty data directory"
-              covered t.gen;
-          expect_seed := false;
-          persist_off := 0;
-          Buffer.clear pending;
-          send_ack ()
+          (* seeding a fresh mirror hands back the snapshot's records;
+             at a rotation boundary they are already live *)
+          match Xsb.Journal.Mirror.snapshot mirror ~covered blob with
+          | Error local ->
+              fatal
+                "primary compacted past this standby's position (generation %Ld vs local %Ld); \
+                 re-seed it from an empty data directory"
+                covered local
+          | Ok records ->
+              with_lock t (fun () -> t.snapshots_received <- t.snapshots_received + 1);
+              apply_all t records (Xsb.Journal.Mirror.position mirror);
+              send_ack ())
       | [ "EPOCH"; e ] ->
-          adopt_epoch t (parse_epoch e);
+          adopt_epoch t mirror (parse_epoch e);
           send_ack ()
       | [ "HB"; e; g; o ] ->
-          adopt_epoch t (parse_epoch e);
+          adopt_epoch t mirror (parse_epoch e);
           let g, o = parse_pos g o in
           with_lock t (fun () ->
               if Int64.compare g t.primary_gen > 0 then begin
@@ -866,6 +686,10 @@ module Standby = struct
       nap t (s -. 0.05)
     end
 
+  (* one session per connection. Each opens the mirror afresh at the
+     applied frontier, so bytes a dropped session left past it (a torn
+     chunk, an unfinished frame) are truncated before the stream
+     resumes there. *)
   let rec run t =
     if (not (Atomic.get t.stopped)) && with_lock t (fun () -> t.fatal) = None then begin
       (match connect_once t with
@@ -874,13 +698,25 @@ module Standby = struct
           with_lock t (fun () ->
               t.conn_fd <- Some fd;
               t.connected <- true);
-          (try session t fd with
-          | Fatal msg -> with_lock t (fun () -> t.fatal <- Some msg)
+          let park msg = with_lock t (fun () -> t.fatal <- Some msg) in
+          (try
+             let g, o = with_lock t (fun () -> (t.gen, t.applied_off)) in
+             let mirror =
+               Xsb.Journal.Mirror.open_ ~dir:t.dir ~keep_generations:t.keep_generations
+                 ~generation:g ~offset:o
+             in
+             Fun.protect
+               ~finally:(fun () -> Xsb.Journal.Mirror.close mirror)
+               (fun () -> session t fd mirror)
+           with
+          | Fatal msg -> park msg
+          | Xsb.Journal.Io_error { site; message } ->
+              (* a failed write or fsync is never applied or ACKed *)
+              park (Printf.sprintf "mirror I/O failed at %s: %s" site message)
+          | Xsb.Journal.Corrupt_record msg -> park ("corrupt replication stream: " ^ msg)
           | End_of_file | Sys_error _ | Unix.Unix_error _ | Protocol_error _ -> ()
           | Xsb.Failpoint.Injected_crash _ -> ()  (* simulated death: reconnect and resume *)
-          | e ->
-              with_lock t (fun () ->
-                  t.fatal <- Some ("replication apply failed: " ^ Printexc.to_string e)));
+          | e -> park ("replication apply failed: " ^ Printexc.to_string e));
           with_lock t (fun () ->
               t.conn_fd <- None;
               t.connected <- false);
@@ -889,8 +725,8 @@ module Standby = struct
       run t
     end
 
-  let start ?registry ~primary_host ~primary_port ~dir ~generation ~offset ~epoch
-      ~keep_generations ~apply () =
+  let start ~primary_host ~primary_port ~dir ~generation ~offset ~epoch ~keep_generations ~apply
+      () =
     let t =
       {
         dir;
@@ -914,29 +750,6 @@ module Standby = struct
         thread = None;
       }
     in
-    (match registry with
-    | Some reg ->
-        Xsb.Metrics.gauge_fn reg
-          ~help:"Bytes between the primary's durable watermark and the standby's applied frontier."
-          "xsb_repl_lag_bytes" (fun () -> float_of_int (lag_of t));
-        Xsb.Metrics.gauge_fn reg ~help:"1 while the replication link to the primary is up."
-          "xsb_repl_connected" (fun () ->
-            with_lock t (fun () -> if t.connected then 1.0 else 0.0));
-        Xsb.Metrics.gauge_fn reg ~help:"Replicated records applied to the live session."
-          "xsb_repl_applied_records_total" (fun () ->
-            with_lock t (fun () -> float_of_int t.applied_records));
-        Xsb.Metrics.gauge_fn reg ~help:"Local journal generation being mirrored."
-          "xsb_repl_generation" (fun () ->
-            with_lock t (fun () -> Int64.to_float t.gen));
-        Xsb.Metrics.gauge_fn reg ~help:"Failover epoch this standby is following."
-          "xsb_repl_epoch" (fun () -> with_lock t (fun () -> Int64.to_float t.epoch));
-        Xsb.Metrics.gauge_fn reg ~help:"Seconds since the last frame from the primary."
-          "xsb_repl_seconds_since_contact" (fun () ->
-            with_lock t (fun () -> Xsb.Mclock.now () -. t.last_contact));
-        Xsb.Metrics.gauge_fn reg ~help:"Snapshots received (bootstrap and generation boundaries)."
-          "xsb_repl_snapshots_received_total" (fun () ->
-            with_lock t (fun () -> float_of_int t.snapshots_received))
-    | None -> ());
     t.thread <- Some (Thread.create (fun () -> run t) ());
     t
 

@@ -1,8 +1,10 @@
 (** Journal-shipping replication: a primary streams its write-ahead
     journal — the same framed bytes crash recovery trusts — to
-    standbys, which mirror them byte-for-byte into their own data
-    directory and apply each record to a live session as it arrives
-    (DESIGN.md §13–§14).
+    standbys, which apply each record to a live session as it arrives
+    (DESIGN.md §13–§14). This module is the wire protocol, the apply
+    and the ACK; it does no file I/O of its own. A standby's data
+    directory is written only by {!Xsb.Journal.Mirror}, which keeps it
+    a byte-for-byte copy of the primary's.
 
     Wire protocol (one TCP connection per standby, full-duplex after
     the handshake):
@@ -110,7 +112,6 @@ module Standby : sig
   }
 
   val start :
-    ?registry:Xsb.Metrics.t ->
     primary_host:string ->
     primary_port:int ->
     dir:string ->
@@ -124,21 +125,25 @@ module Standby : sig
   (** Spawn the applier thread. [generation]/[offset] is the local
       journal position after recovery ({!Xsb.Journal.position}) — the
       standby resumes the stream there, or asks to be seeded when it
-      has no state. [epoch] is the local journal's fencing epoch
-      ({!Xsb.Journal.epoch}); the standby adopts any higher epoch the
-      primary announces and parks fatally on a lower one. [apply]
-      receives each replicated record (and each bootstrap-snapshot
-      record) and must do its own locking against concurrent readers.
-      Reconnects with backoff until {!stop}. With [?registry],
-      publishes [xsb_repl_lag_bytes], [xsb_repl_connected],
-      [xsb_repl_applied_records_total], [xsb_repl_generation],
-      [xsb_repl_epoch], [xsb_repl_seconds_since_contact] and
-      [xsb_repl_snapshots_received_total]. *)
+      has no state. Every connection opens a {!Xsb.Journal.Mirror} on
+      [dir] at the applied frontier; each DATA frame costs the mirror
+      one write and one fsync before its records are applied and
+      ACKed, and a snapshot is installed with the primary's own
+      rotation, archiving [keep_generations] generations. [epoch] is
+      the local journal's fencing epoch ({!Xsb.Journal.epoch}); the
+      standby adopts any higher epoch the primary announces (stamping
+      it into the mirrored header) and parks fatally on a lower one.
+      [apply] receives each replicated record (and each
+      bootstrap-snapshot record) and must do its own locking against
+      concurrent readers. Reconnects with backoff until {!stop}; a
+      dropped connection resumes at the applied frontier. An I/O error
+      on the mirror parks the standby ([fatal]): the failed bytes are
+      never applied or ACKed. *)
 
   val status : t -> status
 
   val stop : t -> unit
-  (** Disconnect, fsync the mirrored journal and join the applier —
+  (** Disconnect and join the applier —
       after which the data directory is quiescent and
       {!Xsb.Journal.resume} can take over (promotion). *)
 end

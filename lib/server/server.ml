@@ -229,15 +229,19 @@ let outcome_counter t outcome =
       Xsb.Metrics.counter t.registry ~labels:[ ("outcome", outcome) ] ~help:outcome_help
         "xsb_requests_by_outcome_total"
 
+(* the journal this node writes: a primary's, or a promoted standby's.
+   A standby's opened journal only recovered the directory; the mirror
+   writes it, so its figures would be stale *)
+let written_journal t =
+  match t.shared with Some sh when t.repl_standby = None -> Some sh.sh_journal | _ -> None
+
 (* one self-contained exposition per scrape: the server's persistent
    registry plus a fresh snapshot of engine and journal state (family
    names are disjoint, so the concatenation is a valid exposition) *)
 let metrics_text t conn =
   let snap = Xsb.Metrics.create () in
   Xsb.Engine.publish_metrics (Xsb.Session.engine conn.c_session) snap;
-  (match t.shared with
-  | Some sh -> Xsb.Journal.publish_metrics sh.sh_journal snap
-  | None -> ());
+  Option.iter (fun j -> Xsb.Journal.publish_metrics j snap) (written_journal t);
   Xsb.Metrics.to_text t.registry ^ Xsb.Metrics.to_text snap
 
 (* --- the access and slow-query logs (JSONL through lib/obs's codec) --- *)
@@ -549,8 +553,8 @@ let execute t conn req ~deadline =
     | Protocol.Statistics ->
         let text = Fmt.str "%a" Xsb.Machine.pp_stats (Xsb.Engine.stats eng) in
         let text =
-          match t.shared with
-          | Some sh -> text ^ Fmt.str "%a" Xsb.Journal.pp_stats sh.sh_journal
+          match written_journal t with
+          | Some j -> text ^ Fmt.str "%a" Xsb.Journal.pp_stats j
           | None -> text
         in
         add_reply conn (Protocol.Ok_ text);

@@ -89,6 +89,19 @@ let wait_caught_up primary standby =
           && s.R.Standby.applied_off = poff
           && s.R.Standby.lag_bytes = 0)
 
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+(* the generation archives of a data directory, by file name *)
+let archives dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun name ->
+         Scanf.sscanf_opt name "journal.%Ld.log%!" ignore <> None
+         || Scanf.sscanf_opt name "snapshot.%Ld.bin%!" ignore <> None)
+  |> List.sort compare
+
+let compact_primary primary =
+  match Server.journal primary with Some j -> J.compact j | None -> Alcotest.fail "no journal"
+
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -434,6 +447,9 @@ let suite =
             ("repl.stream.send", Xsb.Failpoint.Short_write 3);
             ("repl.standby.apply", Xsb.Failpoint.Crash);
             ("repl.standby.ack", Xsb.Failpoint.Crash);
+            ("mirror.write", Xsb.Failpoint.Crash);
+            ("mirror.write", Xsb.Failpoint.Short_write 3);
+            ("mirror.sync", Xsb.Failpoint.Crash);
           ]
         in
         List.iter
@@ -543,4 +559,134 @@ let suite =
                                 with_client b (fun bc ->
                                     check_int "and is there" 1
                                       (List.length (rows_of (Client.query bc "edge(7,8)")))))))))));
+    t "a standby's generation archives are byte-identical to its primary's" `Quick (fun () ->
+        with_dir (fun pdir ->
+            with_dir (fun sdir ->
+                with_server (primary_cfg pdir) (fun primary ->
+                    with_server
+                      { (standby_cfg sdir ("127.0.0.1", repl_port primary)) with
+                        Server.keep_generations = 2 }
+                      (fun standby ->
+                        let n = ref 0 in
+                        let write () =
+                          with_client primary (fun c ->
+                              for _ = 1 to 3 do
+                                incr n;
+                                ignore (ok (Client.assert_ c (Printf.sprintf "edge(%d,%d)" !n !n)))
+                              done);
+                          wait_caught_up primary standby
+                        in
+                        (* two rotations, each followed by writes that
+                           refill the new journal.log *)
+                        write ();
+                        compact_primary primary;
+                        write ();
+                        compact_primary primary;
+                        write ();
+                        let names = archives sdir in
+                        check_bool "the standby archived both generations" true
+                          (List.mem "journal.1.log" names && List.mem "journal.2.log" names);
+                        List.iter
+                          (fun name ->
+                            check_bool (name ^ " is byte-identical to the primary's") true
+                              (read_bytes (Filename.concat sdir name)
+                              = read_bytes (Filename.concat pdir name)))
+                          names;
+                        List.iter
+                          (fun g ->
+                            let recovered dir =
+                              J.recover_at ~dir ~generation:g (Xsb.Database.create ())
+                            in
+                            check_int
+                              (Printf.sprintf "recover_at generation %Ld on the standby" g)
+                              (recovered pdir) (recovered sdir))
+                          [ 1L; 2L ])))));
+    t "a failed mirror fsync parks the standby: never applied, never acked" `Quick (fun () ->
+        Fun.protect ~finally:Xsb.Failpoint.reset @@ fun () ->
+        with_dir (fun pdir ->
+            with_dir (fun sdir ->
+                let cfg =
+                  { (primary_cfg pdir) with Server.sync_standbys = 1; sync_timeout_ms = 300 }
+                in
+                with_server cfg (fun primary ->
+                    with_server (standby_cfg sdir ("127.0.0.1", repl_port primary))
+                      (fun standby ->
+                        wait_caught_up primary standby;
+                        Xsb.Failpoint.arm "mirror.sync" Xsb.Failpoint.Fail;
+                        with_client primary (fun c -> ignore (ok (Client.assert_ c "edge(1,2)")));
+                        settle "the standby parks" (fun () ->
+                            (standby_status standby).R.Standby.fatal <> None);
+                        (match (standby_status standby).R.Standby.fatal with
+                        | Some msg -> check_bool "names the failed site" true (contains msg "mirror.sync")
+                        | None -> assert false);
+                        with_client standby (fun c ->
+                            check_int "the row was not applied" 0
+                              (List.length (rows_of (Client.query c "edge(X,Y)"))));
+                        with_client primary (fun c ->
+                            check_bool "the write was not counted as replicated" true
+                              (metric_value (ok (Client.metrics c)) "xsb_repl_sync_degraded"
+                              = Some 1.0)))))));
+    t "a standby publishes no journal figures until it is promoted" `Quick (fun () ->
+        with_dir (fun pdir ->
+            with_dir (fun sdir ->
+                with_server (primary_cfg pdir) (fun primary ->
+                    with_server (standby_cfg sdir ("127.0.0.1", repl_port primary))
+                      (fun standby ->
+                        with_client primary (fun c ->
+                            ignore (ok (Client.assert_ c "edge(1,2)"));
+                            ignore (ok (Client.assert_ c "edge(2,3)")));
+                        wait_caught_up primary standby;
+                        check_bool "records applied" true
+                          ((standby_status standby).R.Standby.applied_records >= 2);
+                        let scrape c =
+                          match Xsb.Metrics.Exposition.validate (ok (Client.metrics c)) with
+                          | Ok samples -> samples
+                          | Error why -> Alcotest.failf "invalid exposition: %s" why
+                        in
+                        let journal_family (family, _) =
+                          String.length family >= 12 && String.sub family 0 12 = "xsb_journal_"
+                        in
+                        with_client standby (fun c ->
+                            check_bool "no xsb_journal_ sample" false
+                              (List.exists journal_family (scrape c));
+                            check_bool "no journal: line" false
+                              (contains (ok (Client.statistics c)) "journal:");
+                            ignore (ok (Client.promote c));
+                            let epoch = Xsb.Metrics.Exposition.find (scrape c) "xsb_journal_epoch" in
+                            check_bool "xsb_journal_epoch is the promoted epoch" true
+                              (Option.map Int64.of_float epoch = Server.epoch standby);
+                            check_bool "journal: line back" true
+                              (contains (ok (Client.statistics c)) "journal:")))))));
+    t "a standby restarts from its own mirror, with no new snapshot" `Quick (fun () ->
+        with_dir (fun pdir ->
+            with_dir (fun sdir ->
+                with_server (primary_cfg pdir) (fun primary ->
+                    let scfg = standby_cfg sdir ("127.0.0.1", repl_port primary) in
+                    with_server scfg (fun standby ->
+                        with_client primary (fun c -> ignore (ok (Client.assert_ c "edge(1,2)")));
+                        wait_caught_up primary standby;
+                        compact_primary primary;
+                        with_client primary (fun c -> ignore (ok (Client.assert_ c "edge(2,3)")));
+                        wait_caught_up primary standby;
+                        check_bool "crossed the rotation" true
+                          (Int64.equal (standby_status standby).R.Standby.generation 2L));
+                    with_client primary (fun c -> ignore (ok (Client.assert_ c "edge(3,4)")));
+                    with_server scfg (fun standby ->
+                        wait_caught_up primary standby;
+                        let s = standby_status standby in
+                        check_int "resumed without a snapshot" 0 s.R.Standby.snapshots_received;
+                        with_client standby (fun c ->
+                            check_int "converged" 3
+                              (List.length (rows_of (Client.query c "edge(X,Y)"))));
+                        let durable =
+                          match Server.journal primary with
+                          | Some j -> snd (J.durable_position j)
+                          | None -> Alcotest.fail "no journal"
+                        in
+                        let mirrored = read_bytes (Filename.concat sdir "journal.log") in
+                        check_bool "journal.log is the primary's durable prefix" true
+                          (mirrored
+                          = String.sub
+                              (read_bytes (Filename.concat pdir "journal.log"))
+                              0 durable))))));
   ]
