@@ -32,22 +32,28 @@ type clause = { id : int; head : Term.t; body : Term.t }
 
 type index_spec = Fields of int list list | First_string_index | Disc_tree_index
 
+(* Clause storage. A clause's id is its position: [assertz] puts id [i]
+   at position [i] of [back], [asserta] puts id [-1-i] at position [i] of
+   [front]. Clause order is [front] reversed, then [back]. A retracted
+   clause leaves [tombstone] in its slot; slots are reclaimed only by
+   [remove_all]. *)
 type t = {
   name : string;
   arity : int;
   mutable kind : kind;
   mutable tabled : bool;
   mutable table_mode : table_mode;
-  store : clause option Vec.t;
+  front : clause Vec.t;
+  back : clause Vec.t;
   mutable nlive : int;
   mutable spec : index_spec;
   mutable hash_indexes : Arg_hash.t list;
   mutable first_string : First_string.t option;
   mutable disc_tree : Disc_tree.t option;
-  mutable front_id : int;  (* next id for asserta (decreasing) *)
-  mutable back_id : int;  (* next id for assertz (increasing) *)
-  by_id : (int, clause) Hashtbl.t;
 }
+
+(* Compared physically: no stored clause is this record. *)
+let tombstone = { id = min_int; head = Term.Atom "true"; body = Term.Atom "true" }
 
 let create ?(kind = Static) name arity =
   {
@@ -56,15 +62,13 @@ let create ?(kind = Static) name arity =
     kind;
     tabled = false;
     table_mode = Variant;
-    store = Vec.create ();
+    front = Vec.create ();
+    back = Vec.create ();
     nlive = 0;
     spec = Fields [ [ 1 ] ];
     hash_indexes = (if arity >= 1 then [ Arg_hash.create [ 1 ] ] else []);
     first_string = None;
     disc_tree = None;
-    front_id = -1;
-    back_id = 0;
-    by_id = Hashtbl.create 64;
   }
 
 let name t = t.name
@@ -93,9 +97,22 @@ let index_insert t clause =
   | Some tree -> Disc_tree.insert tree clause.id args
   | None -> ()
 
-let live_clauses t =
-  Vec.fold_left (fun acc slot -> match slot with Some c -> c :: acc | None -> acc) [] t.store
-  |> List.sort (fun a b -> Int.compare a.id b.id)
+let vec t id = if id >= 0 then t.back else t.front
+let pos id = if id >= 0 then id else -1 - id
+
+(* The clause with [id], or [tombstone] if it is retracted or was never
+   stored (an id from before the last [remove_all]). *)
+let get t id =
+  let v = vec t id and i = pos id in
+  if i < Vec.length v then Vec.get v i else tombstone
+
+let clauses t =
+  let acc = ref [] in
+  for i = Vec.length t.back - 1 downto 0 do
+    let c = Vec.get t.back i in
+    if c != tombstone then acc := c :: !acc
+  done;
+  Vec.fold_left (fun acc c -> if c == tombstone then acc else c :: acc) !acc t.front
 
 let rebuild_indexes t ?size_hint () =
   (match t.spec with
@@ -117,60 +134,44 @@ let rebuild_indexes t ?size_hint () =
       t.hash_indexes <- [];
       t.first_string <- None;
       t.disc_tree <- Some (Disc_tree.create ()));
-  List.iter (fun c -> index_insert t c) (live_clauses t)
+  List.iter (fun c -> index_insert t c) (clauses t)
 
 let set_index t ?size_hint spec =
   t.spec <- spec;
   rebuild_indexes t ?size_hint ()
 
-let push t clause =
-  Vec.push t.store (Some clause);
-  Hashtbl.replace t.by_id clause.id clause;
+let push t v clause =
+  Vec.push v clause;
   t.nlive <- t.nlive + 1;
   index_insert t clause;
   clause
 
-let assertz t ~head ~body =
-  let id = t.back_id in
-  t.back_id <- id + 1;
-  push t { id; head; body }
-
-let asserta t ~head ~body =
-  let id = t.front_id in
-  t.front_id <- id - 1;
-  push t { id; head; body }
+let assertz t ~head ~body = push t t.back { id = Vec.length t.back; head; body }
+let asserta t ~head ~body = push t t.front { id = -1 - Vec.length t.front; head; body }
 
 let remove t clause =
-  let removed = ref false in
-  Vec.iteri
-    (fun i slot ->
-      match slot with
-      | Some c when c.id = clause.id && not !removed ->
-          Vec.set t.store i None;
-          removed := true
-      | _ -> ())
-    t.store;
-  if !removed then begin
-    Hashtbl.remove t.by_id clause.id;
+  let c = get t clause.id in
+  if c != tombstone then begin
+    Vec.set (vec t c.id) (pos c.id) tombstone;
     t.nlive <- t.nlive - 1;
-    let args = head_args clause in
-    List.iter (fun idx -> Arg_hash.remove idx clause.id args) t.hash_indexes;
+    let args = head_args c in
+    List.iter (fun idx -> Arg_hash.remove idx c.id args) t.hash_indexes;
     (* tries do not support removal: static predicates are never
        retracted clause-by-clause; if it ever happens, rebuild *)
     if t.first_string <> None || t.disc_tree <> None then rebuild_indexes t ()
   end
 
 let remove_all t =
-  Vec.clear t.store;
-  Hashtbl.reset t.by_id;
+  Vec.clear t.front;
+  Vec.clear t.back;
   t.nlive <- 0;
-  t.front_id <- -1;
-  t.back_id <- 0;
   rebuild_indexes t ()
 
-let clauses = live_clauses
-
-let by_ids t ids = List.filter_map (fun id -> Hashtbl.find_opt t.by_id id) ids
+let[@tail_mod_cons] rec by_ids t = function
+  | [] -> []
+  | id :: ids ->
+      let c = get t id in
+      if c == tombstone then by_ids t ids else c :: by_ids t ids
 
 let lookup t call_args =
   if Array.length call_args <> t.arity then []
@@ -188,4 +189,4 @@ let lookup t call_args =
         match (t.first_string, t.disc_tree) with
         | Some trie, _ -> by_ids t (First_string.lookup trie call_args)
         | None, Some tree -> by_ids t (Disc_tree.lookup tree call_args)
-        | None, None -> live_clauses t)
+        | None, None -> clauses t)

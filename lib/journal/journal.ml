@@ -128,14 +128,19 @@ let apply_mutation db = function
   | Retract_clause { name; arity; clause } -> (
       match Database.find db name arity with
       | None -> ()
-      | Some pred ->
-          let rec go = function
-            | [] -> ()
-            | c :: rest ->
-                if Canon.equal (clause_canon c) clause then Database.retract_clause db pred c
-                else go rest
+      | Some pred -> (
+          (* the index narrows the candidates to a superset of the clauses
+             whose head unifies with the record's, in clause order *)
+          let args =
+            match Term.deref (Canon.to_term clause) with
+            | Term.Struct (":-", [| head; _ |]) -> (
+                match Term.deref head with Term.Struct (_, args) -> args | _ -> [||])
+            | _ -> [||]
           in
-          go (Pred.clauses pred))
+          let same c = Canon.equal (clause_canon c) clause in
+          match List.find_opt same (Pred.lookup pred args) with
+          | Some c -> Database.retract_clause db pred c
+          | None -> ()))
   | Remove_pred { name; arity } -> Database.remove_pred db name arity
   | Set_tabled { name; arity } -> Database.set_tabled db name arity
   | Set_table_mode { name; arity; mode } -> Database.set_table_mode db name arity mode

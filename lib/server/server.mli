@@ -93,8 +93,8 @@ val start : config -> t
 (** Bind, listen and spawn the acceptor. [host] is a name or a numeric
     address ({!Xsb_repl.Net.inet_addr}). Raises [Unix.Unix_error] if
     the address is unavailable, {!Xsb_repl.Net.Unknown_host} if [host]
-    does not resolve, [Sys_error]/[Xsb.Loader.Load_error] if a preload
-    file is unreadable or malformed. *)
+    does not resolve, [Sys_error] if a preload file is unreadable, and
+    [Xsb.Parser.Error]/[Xsb.Loader.Load_error] if one is malformed. *)
 
 val port : t -> int
 (** The bound port (useful with [config.port = 0]). *)

@@ -174,6 +174,133 @@ let cases =
         ignore (load db "p(1).");
         Database.remove_pred db "p" 1;
         check_bool "gone" true (Database.find db "p" 1 = None));
+    t "a dynamic fact/2 costs at most 260 B in its predicate" `Quick (fun () ->
+        let db = fresh () in
+        let pred = Database.set_dynamic db "fact" 2 in
+        let before = Obj.reachable_words (Obj.repr pred) in
+        let n = 20_000 in
+        for i = 1 to n do
+          ignore (Database.add_clause db (Term.Struct ("fact", [| Term.Int i; Term.Int (7 * i) |])))
+        done;
+        check_int "stored" n (Pred.clause_count pred);
+        let words = Obj.reachable_words (Obj.repr pred) - before in
+        let bytes_per_fact = float_of_int (words * (Sys.word_size / 8)) /. float_of_int n in
+        if bytes_per_fact > 260.0 then
+          Alcotest.failf "%.1f B per fact, over the 260 B bound" bytes_per_fact);
   ]
 
-let suite = cases
+(* The clause store against a list model: [asserta] prepends with id
+   -1, -2, ..., [assertz] appends with id 0, 1, ..., [remove] drops the
+   clause with the removed clause's id (a stale clause from before a
+   [remove_all] may name a live one), and [remove_all] empties the list
+   and restarts both id sequences. Heads are p(K, N): K is 0..3 or an
+   unbound variable, N numbers the insertion. *)
+type store_op = Asserta of int option | Assertz of int option | Remove of int | Remove_all
+
+let store_op_gen =
+  let open QCheck2.Gen in
+  let key = opt ~ratio:0.8 (int_range 0 3) in
+  frequency
+    [
+      (4, map (fun k -> Asserta k) key);
+      (6, map (fun k -> Assertz k) key);
+      (4, map (fun j -> Remove j) nat);
+      (1, pure Remove_all);
+    ]
+
+let print_store_op = function
+  | Asserta k -> Printf.sprintf "asserta %s" (Option.fold ~none:"_" ~some:string_of_int k)
+  | Assertz k -> Printf.sprintf "assertz %s" (Option.fold ~none:"_" ~some:string_of_int k)
+  | Remove j -> Printf.sprintf "remove #%d" j
+  | Remove_all -> "remove_all"
+
+let store_matches_model ops =
+  let pred = Pred.create ~kind:Pred.Dynamic "p" 2 in
+  (* model: (id, key, n) in clause order; [seen] holds every clause ever
+     stored, live or not, so [Remove] can also pick stale ones *)
+  let model = ref [] and front = ref (-1) and back = ref 0 in
+  let seen = ref [||] in
+  let view clauses =
+    List.map
+      (fun c ->
+        match Term.deref c.Pred.head with
+        | Term.Struct (_, [| k; n |]) ->
+            let key = match Term.deref k with Term.Int k -> Some k | _ -> None in
+            let n = match Term.deref n with Term.Int n -> n | _ -> -1 in
+            (c.Pred.id, key, n)
+        | _ -> (c.Pred.id, None, -1))
+      clauses
+  in
+  let agree what got want =
+    got = want
+    || QCheck2.Test.fail_reportf "%s: got %d clauses, the model %d" what (List.length got)
+         (List.length want)
+  in
+  let check_lookups () =
+    agree "clauses" (view (Pred.clauses pred)) !model
+    && Pred.clause_count pred = List.length !model
+    && agree "lookup p(_,_)"
+         (view (Pred.lookup pred [| Term.fresh_var (); Term.fresh_var () |]))
+         !model
+    && List.for_all
+         (fun b ->
+           let got = view (Pred.lookup pred [| Term.Int b; Term.fresh_var () |]) in
+           (* in model order: [got] is a subsequence of the model *)
+           let rec subseq got model =
+             match (got, model) with
+             | [], _ -> true
+             | _, [] -> false
+             | g :: gs, m :: ms -> if g = m then subseq gs ms else subseq got ms
+           in
+           let unifies (_, k, _) = k = None || k = Some b in
+           (subseq got !model
+           || QCheck2.Test.fail_reportf "lookup p(%d,_) is not in clause order" b)
+           && List.for_all
+                (fun m -> (not (unifies m)) || List.mem m got
+                  || QCheck2.Test.fail_reportf "lookup p(%d,_) misses a clause" b)
+                !model)
+         [ 0; 1; 2; 3; 4 ]
+  in
+  List.for_all
+    (fun op ->
+      let n = Array.length !seen in
+      let head k =
+        Term.Struct ("p", [| Option.fold ~none:(Term.fresh_var ()) ~some:Term.int k; Term.Int n |])
+      in
+      (match op with
+      | Asserta k ->
+          let c = Pred.asserta pred ~head:(head k) ~body:(Term.Atom "true") in
+          model := (!front, k, n) :: !model;
+          decr front;
+          seen := Array.append !seen [| c |]
+      | Assertz k ->
+          let c = Pred.assertz pred ~head:(head k) ~body:(Term.Atom "true") in
+          model := !model @ [ (!back, k, n) ];
+          incr back;
+          seen := Array.append !seen [| c |]
+      | Remove j ->
+          if n > 0 then begin
+            let c = !seen.(j mod n) in
+            Pred.remove pred c;
+            model := List.filter (fun (id, _, _) -> id <> c.Pred.id) !model
+          end
+      | Remove_all ->
+          Pred.remove_all pred;
+          model := [];
+          front := -1;
+          back := 0);
+      check_lookups ())
+    ops
+
+let props =
+  [
+    QCheck2.Test.make ~count:300
+      ~name:"clause store = list model under asserta, assertz, remove, remove_all"
+      ~print:QCheck2.Print.(list print_store_op)
+      QCheck2.Gen.(list_size (int_range 0 60) store_op_gen)
+      store_matches_model;
+  ]
+
+let suite =
+  cases
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false ~rand:(Random.State.make [| 20 |])) props

@@ -1237,7 +1237,69 @@ let epoch_cases =
             J.close j3));
   ]
 
+(* --- replayed retracts pick the same clause order --- *)
+
+let retract_replay_cases =
+  [
+    t "recovering asserta/assertz, duplicates and retracts gives the live clause order" `Quick
+      (fun () ->
+        with_dir (fun dir ->
+            let db = Xsb.Database.create () in
+            let j = J.open_ (J.default_config ~dir) db in
+            J.attach j;
+            let p = Xsb.Database.set_dynamic db "p" 2 in
+            let a s = Xsb.Term.Atom s in
+            let add ?(front = false) ?(body = a "true") x y =
+              ignore (Xsb.Database.insert_clause db ~front p ~head:(tm "p" [ x; y ]) ~body)
+            in
+            add (i 1) (a "a");
+            add ~front:true (i 0) (a "b");
+            add (i 1) (a "a");
+            add (Xsb.Term.fresh_var ()) (a "c");
+            add ~front:true (i 1) (a "a");
+            add (i 1) (a "a") ~body:(a "q");
+            add (i 2) (a "d");
+            add (i 1) (a "a");
+            add ~front:true (Xsb.Term.fresh_var ()) (a "c");
+            (* retract/1 takes the first live copy of a duplicated
+               clause, which is also the copy replay picks *)
+            let retract ?(body = a "true") x y =
+              let want = clause_canon (tm "p" [ x; y ]) body in
+              match
+                List.find_opt
+                  (fun (c : Xsb.Pred.clause) ->
+                    Xsb.Canon.equal want (clause_canon c.Xsb.Pred.head c.Xsb.Pred.body))
+                  (Xsb.Pred.clauses p)
+              with
+              | Some c -> Xsb.Database.retract_clause db p c
+              | None -> Alcotest.fail "no clause to retract"
+            in
+            retract (i 1) (a "a");
+            retract (Xsb.Term.fresh_var ()) (a "c");
+            retract (i 1) (a "a") ~body:(a "q");
+            retract (i 1) (a "a");
+            add (i 1) (a "a");
+            add ~front:true (i 1) (a "a");
+            let shown db =
+              match Xsb.Database.find db "p" 2 with
+              | None -> []
+              | Some p ->
+                  List.map
+                    (fun (c : Xsb.Pred.clause) ->
+                      Fmt.str "%a" Xsb.Canon.pp (clause_canon c.Xsb.Pred.head c.Xsb.Pred.body))
+                    (Xsb.Pred.clauses p)
+            in
+            check_int "live clauses" 7 (Xsb.Pred.clause_count p);
+            check_int "p(1,a) copies left" 4
+              (List.length (List.filter (fun l -> l = ":-(p(1,a),true)") (shown db)));
+            J.close j;
+            let db2 = Xsb.Database.create () in
+            let j2 = J.open_ (J.default_config ~dir) db2 in
+            Alcotest.(check (list string)) "recovered = live" (shown db) (shown db2);
+            J.close j2));
+  ]
+
 let suite =
   codec_cases @ lifecycle_cases @ failpoint_cases @ property_cases @ group_cases
   @ group_property_cases @ archive_cases @ remove_pred_cases @ retry_cases @ server_cases
-  @ incremental_server_cases @ epoch_cases
+  @ incremental_server_cases @ epoch_cases @ retract_replay_cases

@@ -1294,8 +1294,54 @@ let gate_order_case =
                 (admitted = List.concat (List.init rounds (fun _ -> [ b; c ])))
           | ids -> Alcotest.failf "expected ok PINGs from 2 connections, got %d" (List.length ids)))
 
+(* --- preload files and the row cap --- *)
+
+let with_program_file text f =
+  let path = Filename.temp_file "preload" ".P" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let config_cases =
+  [
+    t "preload: every connection sees the files; an ASSERT stays in its session" `Quick
+      (fun () ->
+        with_program_file tc_program (fun path ->
+            let cfg = { Server.default_config with preload = [ path ] } in
+            with_server ~cfg (fun server ->
+                with_client server (fun a ->
+                    with_client server (fun b ->
+                        let count c goal = List.length (rows_of (Client.query c goal)) in
+                        check_int "a sees the preload" 5 (count a "path(1,X)");
+                        check_int "b sees the preload" 5 (count b "path(1,X)");
+                        ignore (ok (Client.assert_ a "edge(6,7)"));
+                        check_int "a sees its assert" 1 (count a "edge(6,X)");
+                        check_int "b does not" 0 (count b "edge(6,X)");
+                        check_int "b keeps the preload" 5 (count b "path(1,X)"))))));
+    t "preload: a syntax error makes Server.start raise" `Quick (fun () ->
+        with_program_file "edge(1,2).\nedge(2,\n" (fun path ->
+            match Server.start { Server.default_config with port = 0; preload = [ path ] } with
+            | exception (Xsb.Parser.Error _ | Xsb.Loader.Load_error _) -> ()
+            | server ->
+                Server.stop server;
+                Alcotest.fail "started with a malformed preload"));
+    t "max_answers caps every QUERY, with or without a limit" `Quick (fun () ->
+        let cfg = { Server.default_config with max_answers = 3 } in
+        with_server ~cfg (fun server ->
+            with_client server (fun c ->
+                ignore (ok (Client.consult c tc_program));
+                let query ?limit () =
+                  match Client.query ?limit c "path(1,X)" with
+                  | Client.Rows { rows; truncated } -> (List.length rows, truncated)
+                  | _ -> Alcotest.fail "expected rows"
+                in
+                let rows = Alcotest.(check (pair int bool)) in
+                rows "no limit: DONE 3 1" (3, true) (query ());
+                rows "limit=10: DONE 3 1" (3, true) (query ~limit:10 ());
+                rows "limit=2: DONE 2 1" (2, true) (query ~limit:2 ()))));
+  ]
+
 let suite =
   protocol_cases @ bounded_cases @ negative_cases @ server_cases @ metrics_cases
   @ [ isolation_case; backpressure_case; shutdown_case ]
   @ reply_cases @ [ slow_reader_case ] @ log_failure_cases @ profile_cases @ call_cases
-  @ work_cases @ [ host_name_case; gate_order_case ]
+  @ work_cases @ [ host_name_case; gate_order_case ] @ config_cases
