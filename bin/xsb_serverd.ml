@@ -4,6 +4,19 @@
 
 let stop_requested = Atomic.make false
 
+(* [Server.start] consults the preload files in order and raises on the
+   first that does not load; the one to name is the first that fails on
+   its own *)
+let bad_preload paths =
+  let loads path =
+    match Xsb.Session.consult_file (Xsb.Session.create ()) path with
+    | () -> true
+    | exception _ -> false
+  in
+  match List.find_opt (fun path -> not (loads path)) paths with
+  | Some path -> path
+  | None -> String.concat ", " paths
+
 let main host port workers queue timeout_ms max_steps max_answers preload scheduling access_log
     profile data_dir sync compact_bytes keep_generations repl_port replica_of sync_standbys
     sync_timeout_ms auto_promote promote_priority failover_timeout_ms peers slow_ms slow_log =
@@ -43,6 +56,10 @@ let main host port workers queue timeout_ms max_steps max_answers preload schedu
       slow_log = slow_channel;
     }
   in
+  let load_failed what =
+    Fmt.epr "xsb_serverd: cannot load %s: %s@." (bad_preload preload) what;
+    2
+  in
   match Xsb_server.Server.start cfg with
   | exception Unix.Unix_error (err, _, _) ->
       Fmt.epr "xsb_serverd: cannot bind %s:%d: %s@." host port (Unix.error_message err);
@@ -62,6 +79,9 @@ let main host port workers queue timeout_ms max_steps max_answers preload schedu
   | exception Invalid_argument msg ->
       Fmt.epr "xsb_serverd: %s@." msg;
       2
+  | exception Xsb.Parser.Error (msg, pos) -> load_failed (Printf.sprintf "syntax error at %d: %s" pos msg)
+  | exception Xsb.Lexer.Error (msg, pos) -> load_failed (Printf.sprintf "lexical error at %d: %s" pos msg)
+  | exception Xsb.Loader.Load_error msg -> load_failed msg
   | server ->
       (match Xsb_server.Server.journal server with
       | Some j ->

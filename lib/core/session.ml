@@ -17,30 +17,39 @@ let query_first t text = Engine.query_first_string t.eng text
 let succeeds t text = Engine.succeeds t.eng text
 let count t text = Engine.count_solutions t.eng text
 
-let pp_bindings pp_term ppf (s : Engine.solution) =
-  if s.Engine.bindings = [] then Fmt.string ppf "true"
-  else
-    Fmt.pf ppf "%a"
-      Fmt.(list ~sep:(any ", ") (fun ppf (n, v) -> Fmt.pf ppf "%s = %a" n pp_term v))
-      s.Engine.bindings;
-  if s.Engine.conditional then Fmt.string ppf " (undefined)"
+(* A row's text is "X = f(Y), Z = 3": [add_name] starts the [i]-th
+   binding, and [add_end] writes "true" for a row without bindings and
+   " (undefined)" after a conditional answer. *)
+let add_name b i name =
+  if i > 0 then Buffer.add_string b ", ";
+  Buffer.add_string b name;
+  Buffer.add_string b " = "
+
+let add_end b ~empty ~conditional =
+  if empty then Buffer.add_string b "true";
+  if conditional then Buffer.add_string b " (undefined)"
 
 (* terms print with the session's current operators *)
-let term_printer t = Xsb_parse.Pretty.pp ~ops:(Xsb_db.Database.ops t.database) ()
+let ops t = Xsb_db.Database.ops t.database
 
-let pp_solution t ppf s = pp_bindings (term_printer t) ppf s
+let pp_solution t ppf (s : Engine.solution) =
+  let b = Buffer.create 64 and ops = ops t in
+  List.iteri
+    (fun i (name, v) ->
+      add_name b i name;
+      Xsb_parse.Pretty.add ~ops b v)
+    s.Engine.bindings;
+  add_end b ~empty:(s.Engine.bindings = []) ~conditional:s.Engine.conditional;
+  Fmt.string ppf (Buffer.contents b)
 
-let render_solutions t emit solutions =
-  let row = Buffer.create 128 in
-  let ppf = Format.formatter_of_buffer row in
-  let pp_term = term_printer t in
-  List.iter
-    (fun s ->
-      Buffer.clear row;
-      pp_bindings pp_term ppf s;
-      Format.pp_print_flush ppf ();
-      emit row)
-    solutions
+let add_row t b row =
+  let ops = ops t and vbase = Xsb_term.Term.fresh_vids (Engine.row_vars row) in
+  let empty = ref true in
+  Engine.row_bindings row (fun i name v ->
+      empty := false;
+      add_name b i name;
+      Xsb_parse.Pretty.add_canon ~ops ~vbase b v);
+  add_end b ~empty:!empty ~conditional:(Engine.row_conditional row)
 
 let show t text =
   match query t text with

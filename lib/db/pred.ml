@@ -35,8 +35,8 @@ type index_spec = Fields of int list list | First_string_index | Disc_tree_index
 (* Clause storage. A clause's id is its position: [assertz] puts id [i]
    at position [i] of [back], [asserta] puts id [-1-i] at position [i] of
    [front]. Clause order is [front] reversed, then [back]. A retracted
-   clause leaves [tombstone] in its slot; slots are reclaimed only by
-   [remove_all]. *)
+   clause leaves [tombstone] in its slot; slots are never reclaimed
+   (abolishing a predicate drops its whole store). *)
 type t = {
   name : string;
   arity : int;
@@ -100,8 +100,8 @@ let index_insert t clause =
 let vec t id = if id >= 0 then t.back else t.front
 let pos id = if id >= 0 then id else -1 - id
 
-(* The clause with [id], or [tombstone] if it is retracted or was never
-   stored (an id from before the last [remove_all]). *)
+(* The clause with [id], or [tombstone] if it is retracted or [id] is
+   past the end of its vector. *)
 let get t id =
   let v = vec t id and i = pos id in
   if i < Vec.length v then Vec.get v i else tombstone
@@ -160,12 +160,6 @@ let remove t clause =
        retracted clause-by-clause; if it ever happens, rebuild *)
     if t.first_string <> None || t.disc_tree <> None then rebuild_indexes t ()
   end
-
-let remove_all t =
-  Vec.clear t.front;
-  Vec.clear t.back;
-  t.nlive <- 0;
-  rebuild_indexes t ()
 
 let[@tail_mod_cons] rec by_ids t = function
   | [] -> []

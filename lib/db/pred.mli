@@ -69,9 +69,6 @@ val asserta : t -> head:Term.t -> body:Term.t -> clause
 val remove : t -> clause -> unit
 (** Retract one clause by identity. *)
 
-val remove_all : t -> unit
-(** Predicate-level retraction: drop every clause. *)
-
 val clause_count : t -> int
 
 val clauses : t -> clause list

@@ -714,47 +714,56 @@ let execute t conn req ~deadline =
                 | Some n when n > 0 -> clamp t.cfg.max_answers n
                 | _ -> t.cfg.max_answers
               in
-              let stream_answers solutions =
-                Xsb.Session.render_solutions conn.c_session (Protocol.add_answer conn.c_reply)
-                  solutions;
-                List.length solutions
+              (* each row goes from its answer table into the reply as
+                 an ANSWER frame; [row] holds one row's text while its
+                 frame header, which leads with the length, is written *)
+              let start = Buffer.length conn.c_reply in
+              let rows = ref 0 and row = Buffer.create 64 in
+              let add_row r =
+                (* the stop poll can overshoot by a few answers; hold
+                   the stream to the requested row count *)
+                (limit <= 0 || !rows < limit)
+                && begin
+                     Buffer.clear row;
+                     Xsb.Session.add_row conn.c_session row r;
+                     Protocol.add_answer conn.c_reply row;
+                     incr rows;
+                     true
+                   end
+              in
+              (* a request that fails after some rows replies with the
+                 error alone *)
+              let failed code msg outcome =
+                Buffer.truncate conn.c_reply start;
+                add_reply conn (Protocol.Err (code, msg));
+                (outcome, pred, 0)
               in
               match
-                Xsb.Engine.run_bounded
+                Xsb.Engine.run_rows
                   ?max_steps:(if budget > 0 then Some budget else None)
                   ?stop:(if deadline = None then None else Some deadline_passed)
                   ?limit:(if limit > 0 then Some limit else None)
-                  eng goal
+                  eng goal add_row
               with
-              | `Answers solutions ->
-                  let n = stream_answers solutions in
-                  add_reply conn (Protocol.Done { count = n; more = false });
-                  ("ok", pred, n)
-              | `Truncated solutions ->
-                  (* the stop poll can overshoot by a few answers; hold
-                     the stream to the requested row count *)
-                  let solutions =
-                    if limit > 0 then List.filteri (fun i _ -> i < limit) solutions else solutions
-                  in
-                  let n = stream_answers solutions in
-                  add_reply conn (Protocol.Done { count = n; more = true });
-                  ("truncated", pred, n)
-              | `Timeout solutions ->
-                  let n = stream_answers solutions in
+              | `Answers ->
+                  add_reply conn (Protocol.Done { count = !rows; more = false });
+                  ("ok", pred, !rows)
+              | `Truncated ->
+                  add_reply conn (Protocol.Done { count = !rows; more = true });
+                  ("truncated", pred, !rows)
+              | `Timeout ->
                   let reason = if deadline_passed () then "deadline exceeded" else "step budget exhausted" in
                   add_reply conn (Protocol.Err (Protocol.Timeout, reason));
-                  ("timeout", pred, n)
+                  ("timeout", pred, !rows)
               | exception Xsb.Machine.Step_limit ->
                   (* an engine-wide set_max_steps bound, not ours *)
-                  add_reply conn (Protocol.Err (Protocol.Timeout, "engine step limit"));
-                  ("timeout", pred, 0)
+                  failed Protocol.Timeout "engine step limit" "timeout"
               | exception (Xsb.Journal.Io_error _ as e) ->
                   (* an assert/1 inside the query hit the dead journal;
-                     let the read-only degradation below handle it *)
+                     the read-only degradation below handles it and
+                     withdraws the rows *)
                   raise e
-              | exception e ->
-                  add_reply conn (Protocol.Err (Protocol.Exec_error, Printexc.to_string e));
-                  ("exec_error", pred, 0)
+              | exception e -> failed Protocol.Exec_error (Printexc.to_string e) "exec_error"
             end))
   in
   let measured () =

@@ -37,70 +37,106 @@ type bounds = { limit : int option; stop : (unit -> bool) option; budget_binding
 let limit_hit b count = match b.limit with Some n -> count >= n | None -> false
 let stop_hit b = match b.stop with Some f -> f () | None -> false
 
-(* How a query that found [count] answers ended: [`Complete] (fixpoint
-   reached), [`Limit] (the answer limit was hit) or [`Interrupted] (the
-   [stop] callback fired; a step budget running out is [`Interrupted]
+(* How a query that found [count] answers ended: [`Answers] (fixpoint
+   reached), [`Truncated] (the answer limit was hit) or [`Timeout] (the
+   [stop] callback fired; a step budget running out is [`Timeout]
    too). *)
 let ending b count =
-  if limit_hit b count then `Limit else if stop_hit b then `Interrupted else `Complete
+  if limit_hit b count then `Truncated else if stop_hit b then `Timeout else `Answers
 
-(* The solutions of [goal] read straight out of its completed variant
-   table [sub] (see [Machine.completed_call]): no query table, and no
-   answer is canonicalized or inserted again. Every answer is an
-   instance of the table's key, whose i-th variable is the goal's i-th
-   variable in [names] order (both number variables by first
-   occurrence), so one walk of the key against an answer finds every
-   binding; the binding tuple is converted as one term, so the fresh
-   variables of a non-ground answer are shared across its bindings.
+(* One answer of a query, in place in its table. [key] is the table's
+   subgoal, whose i-th variable (by first occurrence) is the goal's i-th
+   variable, named [names.(i)]; for a query table the key is
+   [$queryN(V0,..,Vn)]. One record serves every answer of a query. *)
+type row = { names : string array; key : Canon.t; mutable answer : Machine.answer }
+
+let row_conditional r = r.answer.Machine.a_delays <> []
+let row_vars r = Canon.nvars r.answer.Machine.a_template
+
+(* One walk of the key [k] against the answer [x] finds every binding:
+   [f i name x'] at the first occurrence of the key's variable [i],
+   [x'] its binding. The key numbers its variables by first occurrence,
+   so the first unseen one is always [next], and the walk returns the
+   new [next]. *)
+let rec walk names f next k x =
+  match (k, x) with
+  | Canon.CVar i, _ when i = next ->
+      f i names.(i) x;
+      next + 1
+  | Canon.CStruct (_, ks), Canon.CStruct (_, xs) -> walk_args names f next ks xs 0
+  | _ -> next
+
+and walk_args names f next ks xs j =
+  if j = Array.length ks then next
+  else walk_args names f (walk names f next ks.(j) xs.(j)) ks xs (j + 1)
+
+let row_bindings r f = ignore (walk r.names f 0 r.key r.answer.Machine.a_template)
+
+(* the row as live terms, fresh variables shared across its bindings *)
+let row_solution r =
+  let slots = Array.make (Array.length r.names) r.key in
+  row_bindings r (fun i _ x -> slots.(i) <- x);
+  let args =
+    match Canon.to_term (Canon.CStruct ("", slots)) with
+    | Term.Struct (_, args) -> args
+    | _ -> [||]
+  in
+  {
+    bindings = List.init (Array.length args) (fun i -> (r.names.(i), args.(i)));
+    conditional = row_conditional r;
+    delays = r.answer.Machine.a_delays;
+  }
+
+(* Hands [emit] the rows of [sub]'s answers in order, while [more i]
+   allows the [i]-th and [emit] accepts them; returns how many it
+   accepted. *)
+let emit_rows names sub more emit =
+  let store = sub.Machine.s_store and n = Machine.answer_count sub in
+  if n = 0 then 0
+  else
+    let row = { names; key = sub.Machine.skey; answer = Xsb_index.Answer_store.Index.get store 0 } in
+    let rec go i =
+      if
+        i < n && more i
+        && begin
+             row.answer <- Xsb_index.Answer_store.Index.get store i;
+             emit row
+           end
+      then go (i + 1)
+      else i
+    in
+    go 0
+
+(* The rows of [goal] read straight out of its completed variant table
+   [sub] (see [Machine.completed_call]): no query table, and no answer is
+   canonicalized or inserted again.
 
    Steps are charged as the query-table path charges them — one for the
    call, one per answer — so a step budget interrupts after the same
    rows; [limit] and [stop] are checked before each answer, as the
    scheduler checks them between answers. *)
-let read_completed b t goal names sub =
+let read_completed b t goal names sub emit =
   let env = t.env in
-  let key = sub.Machine.skey in
-  let nvars = List.length names in
-  let solution (a : Machine.answer) =
-    let slots = Array.make nvars key in
-    let rec bind k x =
-      match (k, x) with
-      | Canon.CVar i, _ -> slots.(i) <- x
-      | Canon.CStruct (_, ks), Canon.CStruct (_, xs) ->
-          for j = 0 to Array.length ks - 1 do
-            bind ks.(j) xs.(j)
-          done
-      | _ -> ()
-    in
-    bind key a.Machine.a_template;
-    let args =
-      match Canon.to_term (Canon.CStruct ("", slots)) with
-      | Term.Struct (_, args) -> Array.to_list args
-      | _ -> []
-    in
-    { bindings = List.combine names args; conditional = false; delays = [] }
+  let more i =
+    (not (limit_hit b i))
+    && (not (stop_hit b))
+    && begin
+         Machine.step env;
+         true
+       end
   in
-  let n = Machine.answer_count sub in
-  let found = ref [] and count = ref 0 in
-  let ending =
-    match
-      Machine.note_call env ~depth:0 sub.Machine.s_pred goal;
-      Machine.step env;
-      while !count < n && (not (limit_hit b !count)) && not (stop_hit b) do
-        Machine.step env;
-        found := solution (Xsb_index.Answer_store.Index.get sub.Machine.s_store !count) :: !found;
-        incr count
-      done
-    with
-    | () -> ending b !count
-    | exception Machine.Step_limit when b.budget_binding -> `Interrupted
-  in
-  (List.rev !found, ending)
+  match
+    Machine.note_call env ~depth:0 sub.Machine.s_pred goal;
+    Machine.step env;
+    emit_rows names sub more emit
+  with
+  | count -> ending b count
+  | exception Machine.Step_limit when b.budget_binding -> `Timeout
 
-(* Evaluate [goal] against a fresh, private query table, then read the
-   answers back out of table space. The query table is always dropped
-   and the trail restored, whatever the ending. *)
-let eval_query b t goal names vars =
+(* Evaluate [goal] against a fresh, private query table, then hand its
+   answers to [emit]. The query table is always dropped and the trail
+   restored, whatever the ending. *)
+let eval_query b t goal names vars emit =
   t.query_counter <- t.query_counter + 1;
   let functor_name = Printf.sprintf "$query%d" t.query_counter in
   let template = Term.struct_ functor_name (Array.of_list (List.map (fun v -> Term.Var v) vars)) in
@@ -129,52 +165,32 @@ let eval_query b t goal names vars =
     Machine.abandon_eval ev;
     Machine.delete_table t.env qsub
   in
-  let ending =
-    match Machine.run_eval ?stop:stop_fn ev with
-    | () -> ending b (Machine.answer_count qsub)
-    | exception Machine.Step_limit when b.budget_binding -> `Interrupted
-    | exception e ->
-        finish ();
-        raise e
-  in
-  let solutions =
-    Machine.fold_answers
-      (fun acc (a : Machine.answer) ->
-        let instance = Canon.to_term a.Machine.a_template in
-        let args =
-          match Term.deref instance with
-          | Term.Struct (_, args) -> Array.to_list args
-          | _ -> []
-        in
-        {
-          bindings = List.combine names args;
-          conditional = a.Machine.a_delays <> [];
-          delays = a.Machine.a_delays;
-        }
-        :: acc)
-      [] qsub
-    |> List.rev
-  in
-  finish ();
-  (solutions, ending)
+  Fun.protect ~finally:finish (fun () ->
+      let ending =
+        match Machine.run_eval ?stop:stop_fn ev with
+        | () -> ending b (Machine.answer_count qsub)
+        | exception Machine.Step_limit when b.budget_binding -> `Timeout
+      in
+      ignore (emit_rows names qsub (fun _ -> true) emit);
+      ending)
 
-(* Run [goal] to completion (or first answer / answer limit / external
-   stop / step budget) and return the solutions found together with how
-   the evaluation ended (see [ending]). A goal that is one call of a
-   tabled predicate whose variant table is complete is read from that
-   table; any other goal is evaluated through a private query table. *)
-let run_query_bounded ?limit ?stop ?max_steps t goal =
+(* Run [goal] to completion (or answer limit / external stop / step
+   budget), hand each answer to [emit] as a row, and say how the
+   evaluation ended (see [ending]). A goal that is one call of a tabled
+   predicate whose variant table is complete is read from that table;
+   any other goal is evaluated through a private query table. *)
+let run_rows ?max_steps ?stop ?limit t goal emit =
   let goal = Database.encode t.database goal in
   (* stale incremental tables are repaired before the query reads them;
      runs under the engine-wide step bound, not this query's budget *)
   Machine.repair_stale t.env;
   let vars = Term.vars goal in
-  let names = List.map (var_name "G") vars in
+  let names = Array.of_list (List.map (var_name "G") vars) in
   (* a per-query step budget, relative to the engine's running step
      counter. Install it only when it is the binding bound: if a tighter
      engine-wide [set_max_steps] bound is already in place (or no usable
      budget was given), a [Step_limit] overrun is the engine-wide
-     bound's and must keep raising, not be reported as `Interrupted. *)
+     bound's and must keep raising, not be reported as `Timeout. *)
   let saved_max = t.env.Machine.max_steps in
   let budget_binding =
     match max_steps with
@@ -192,25 +208,32 @@ let run_query_bounded ?limit ?stop ?max_steps t goal =
     ~finally:(fun () -> t.env.Machine.max_steps <- saved_max)
     (fun () ->
       match Machine.completed_call t.env goal with
-      | Some sub -> read_completed b t goal names sub
-      | None -> eval_query b t goal names vars)
-
-let run_query ?(first = false) t goal =
-  fst (run_query_bounded ?limit:(if first then Some 1 else None) t goal)
-
-let query t goal = run_query t goal
-
-let query_first t goal = match run_query ~first:true t goal with s :: _ -> Some s | [] -> None
+      | Some sub -> read_completed b t goal names sub emit
+      | None -> eval_query b t goal names vars emit)
 
 type bounded =
   [ `Answers of solution list | `Truncated of solution list | `Timeout of solution list ]
 
 let run_bounded ?max_steps ?stop ?limit t goal : bounded =
-  let solutions, ending = run_query_bounded ?limit ?stop ?max_steps t goal in
+  let found = ref [] in
+  let ending =
+    run_rows ?max_steps ?stop ?limit t goal (fun r ->
+        found := row_solution r :: !found;
+        true)
+  in
+  let solutions = List.rev !found in
   match ending with
-  | `Complete -> `Answers solutions
-  | `Limit -> `Truncated solutions
-  | `Interrupted -> `Timeout solutions
+  | `Answers -> `Answers solutions
+  | `Truncated -> `Truncated solutions
+  | `Timeout -> `Timeout solutions
+
+let run_query ?(first = false) t goal =
+  match run_bounded ?limit:(if first then Some 1 else None) t goal with
+  | `Answers l | `Truncated l | `Timeout l -> l
+
+let query t goal = run_query t goal
+
+let query_first t goal = match run_query ~first:true t goal with s :: _ -> Some s | [] -> None
 
 let parse t text = Xsb_parse.Parser.term_of_string ~ops:(Database.ops t.database) text
 

@@ -52,6 +52,53 @@ val query_first_string : t -> string -> solution option
     interruption into a typed result instead of an escaping
     {!Machine.Step_limit}. *)
 
+type row
+(** One answer of a query, read in place from its answer table. Valid
+    only during the callback it is passed to. *)
+
+val row_bindings : row -> (int -> string -> Canon.t -> unit) -> unit
+(** [row_bindings r f] calls [f i name value] for the [i]-th named query
+    variable, in order from 0, with its binding in table space. The
+    bindings number their variables together, by first occurrence. *)
+
+val row_vars : row -> int
+(** The number of distinct variables in the row's bindings. *)
+
+val row_conditional : row -> bool
+(** The answer carries delayed literals. *)
+
+val row_solution : row -> solution
+(** The row as live terms, its fresh variables shared across bindings. *)
+
+val run_rows :
+  ?max_steps:int ->
+  ?stop:(unit -> bool) ->
+  ?limit:int ->
+  t ->
+  Term.t ->
+  (row -> bool) ->
+  [ `Answers | `Truncated | `Timeout ]
+(** [run_rows ?max_steps ?stop ?limit t goal emit] evaluates [goal] and
+    hands each answer to [emit], in order, until [emit] refuses one by
+    returning [false]. The result says how the evaluation ended:
+
+    - [`Answers]: it reached its fixpoint;
+    - [`Truncated]: it stopped at the [limit]-th answer. The stop is
+      polled between derivation steps, so a few more answers than
+      [limit] may reach [emit];
+    - [`Timeout]: the [stop] callback fired, or the per-query
+      [max_steps] budget ran out; the answers derived before the
+      interruption reach [emit].
+
+    [max_steps] is a step budget for this query alone, relative to the
+    engine's running counter (a non-positive budget is ignored; an
+    engine-wide {!set_max_steps} bound still applies, and when it is the
+    tighter of the two its overrun still raises {!Machine.Step_limit},
+    possibly after some rows). [stop] is polled during evaluation
+    (wall-clock deadlines, cancellation). Whatever the ending, the
+    private query table is dropped and the trail restored, so table
+    space stays consistent for the next query on the same engine. *)
+
 type bounded =
   [ `Answers of solution list  (** evaluation reached its fixpoint *)
   | `Truncated of solution list  (** stopped at the [limit]-th answer *)
@@ -61,18 +108,7 @@ type bounded =
 
 val run_bounded :
   ?max_steps:int -> ?stop:(unit -> bool) -> ?limit:int -> t -> Term.t -> bounded
-(** [run_bounded ?max_steps ?stop ?limit t goal] runs [goal] like
-    {!query} but bounded: [max_steps] is a step budget for this query
-    alone, relative to the engine's running counter (a non-positive
-    budget is ignored; an engine-wide {!set_max_steps} bound still
-    applies, and when it is the tighter of the two its overrun still
-    raises {!Machine.Step_limit} rather than returning [`Timeout]),
-    [stop] is
-    polled during evaluation (wall-clock deadlines, cancellation), and
-    [limit] stops the evaluation once that many answers exist (row
-    limits). Whatever the ending, the private query table is dropped
-    and the trail restored, so table space stays consistent for the
-    next query on the same engine. *)
+(** {!run_rows}, collecting every row it hands out as a {!solution}. *)
 
 val run_bounded_string :
   ?max_steps:int -> ?stop:(unit -> bool) -> ?limit:int -> t -> string -> bounded

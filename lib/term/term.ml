@@ -13,6 +13,8 @@ let counter = Atomic.make 0
 
 let var ?name () = { vid = Atomic.fetch_and_add counter 1 + 1; binding = None; vname = name }
 
+let fresh_vids n = Atomic.fetch_and_add counter n + 1
+
 let fresh_var ?name () = Var (var ?name ())
 let atom name = Atom name
 let int i = Int i
@@ -155,19 +157,25 @@ let atom_needs_quotes name =
            name)
     else not (String.for_all symbolic name)
 
-let pp_atom ppf name =
+let add_atom b name =
   if atom_needs_quotes name then begin
-    let buf = Buffer.create (String.length name + 2) in
-    Buffer.add_char buf '\'';
+    Buffer.add_char b '\'';
     String.iter
       (fun c ->
         match c with
-        | '\'' -> Buffer.add_string buf "\\'"
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
+        | '\'' -> Buffer.add_string b "\\'"
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | c -> Buffer.add_char b c)
       name;
-    Buffer.add_char buf '\'';
+    Buffer.add_char b '\''
+  end
+  else Buffer.add_string b name
+
+let pp_atom ppf name =
+  if atom_needs_quotes name then begin
+    let buf = Buffer.create (String.length name + 2) in
+    add_atom buf name;
     Fmt.string ppf (Buffer.contents buf)
   end
   else Fmt.string ppf name

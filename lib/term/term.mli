@@ -28,6 +28,12 @@ val fresh_var : ?name:string -> unit -> t
 
 val var : ?name:string -> unit -> var
 
+val fresh_vids : int -> int
+(** [fresh_vids n] takes the ids that [n] calls of {!var} would give, in
+    order, and returns the first: consecutive unless another thread
+    makes variables at the same time. For printing variables that are
+    never built (a table-space answer written out directly). *)
+
 val atom : string -> t
 val int : int -> t
 
@@ -99,3 +105,6 @@ val pp : t Fmt.t
     for anonymous variables. Does not consult an operator table. *)
 
 val to_string : t -> string
+
+val add_atom : Buffer.t -> string -> unit
+(** Append an atom as {!pp} prints it: quoted and escaped where needed. *)

@@ -89,12 +89,6 @@ let cases =
         let second = List.nth (Pred.clauses pred) 1 in
         Pred.remove pred second;
         Alcotest.(check (list string)) "removed middle" [ "p(1)"; "p(3)" ] (heads pred));
-    t "remove_all" `Quick (fun () ->
-        let db = fresh () in
-        ignore (load db "p(1). p(2).");
-        let pred = Option.get (Database.find db "p" 1) in
-        Pred.remove_all pred;
-        check_int "empty" 0 (Pred.clause_count pred));
     t "fast_load basic facts" `Quick (fun () ->
         let db = fresh () in
         let n = Fast_load.string_ db "e(1,2). e(2,3).\ne(3,4)." in
@@ -190,12 +184,10 @@ let cases =
   ]
 
 (* The clause store against a list model: [asserta] prepends with id
-   -1, -2, ..., [assertz] appends with id 0, 1, ..., [remove] drops the
-   clause with the removed clause's id (a stale clause from before a
-   [remove_all] may name a live one), and [remove_all] empties the list
-   and restarts both id sequences. Heads are p(K, N): K is 0..3 or an
-   unbound variable, N numbers the insertion. *)
-type store_op = Asserta of int option | Assertz of int option | Remove of int | Remove_all
+   -1, -2, ..., [assertz] appends with id 0, 1, ..., and [remove] drops
+   the clause with the removed clause's id. Heads are p(K, N): K is 0..3
+   or an unbound variable, N numbers the insertion. *)
+type store_op = Asserta of int option | Assertz of int option | Remove of int
 
 let store_op_gen =
   let open QCheck2.Gen in
@@ -205,14 +197,12 @@ let store_op_gen =
       (4, map (fun k -> Asserta k) key);
       (6, map (fun k -> Assertz k) key);
       (4, map (fun j -> Remove j) nat);
-      (1, pure Remove_all);
     ]
 
 let print_store_op = function
   | Asserta k -> Printf.sprintf "asserta %s" (Option.fold ~none:"_" ~some:string_of_int k)
   | Assertz k -> Printf.sprintf "assertz %s" (Option.fold ~none:"_" ~some:string_of_int k)
   | Remove j -> Printf.sprintf "remove #%d" j
-  | Remove_all -> "remove_all"
 
 let store_matches_model ops =
   let pred = Pred.create ~kind:Pred.Dynamic "p" 2 in
@@ -283,19 +273,14 @@ let store_matches_model ops =
             let c = !seen.(j mod n) in
             Pred.remove pred c;
             model := List.filter (fun (id, _, _) -> id <> c.Pred.id) !model
-          end
-      | Remove_all ->
-          Pred.remove_all pred;
-          model := [];
-          front := -1;
-          back := 0);
+          end);
       check_lookups ())
     ops
 
 let props =
   [
     QCheck2.Test.make ~count:300
-      ~name:"clause store = list model under asserta, assertz, remove, remove_all"
+      ~name:"clause store = list model under asserta, assertz and remove"
       ~print:QCheck2.Print.(list print_store_op)
       QCheck2.Gen.(list_size (int_range 0 60) store_op_gen)
       store_matches_model;

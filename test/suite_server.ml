@@ -499,6 +499,114 @@ let reply_cases =
                   (partial @ [ Protocol.Err (Protocol.Timeout, "step budget exhausted") ]))));
   ]
 
+(* Rows written from the answer table, against the frozen oracle
+   printer: a non-ground answer sharing a variable, operator terms,
+   quoted atoms and floats, each from the query-table path and then from
+   the completed table. Variable ids are compared relative to the row's
+   first (Suite_pretty.relative_vids). [bad/1]'s table has answers when
+   its evaluation raises; its reply is the ERR frame alone. *)
+let table_rows_program =
+  ":- table ng/2, opt/1, quoted/1, flt/1, bad/1.\n\
+   ng(1, f(Y, Y, Z)).\n\
+   ng(2, g(Z, [Z|T], T)).\n\
+   opt(1 + 2 * 3). opt((a :- b, c ; d)). opt(- (1)). opt(- (- a)).\n\
+   opt(1 - (2 - 3)). opt(f(a = b, (x, y))). opt({p, q}). opt([1, 2 | x]).\n\
+   quoted('hello world'). quoted('it''s'). quoted([]). quoted('\\\\'). quoted('A').\n\
+   flt(1.5). flt(-2.5e-7). flt(1.0e20). flt(-3.0).\n\
+   bad(X) :- t(X).\n\
+   bad(X) :- X is foo + 1.\n\
+   t(1). t(2).\n"
+
+let table_rows_case ~durable =
+  t
+    (Printf.sprintf "%s: rows from the table are the oracle's bytes"
+       (if durable then "durable" else "in-memory"))
+    `Quick
+    (fun () ->
+      let s = Xsb.Session.create () in
+      let engine = Xsb.Session.engine s in
+      let clauses = Xsb.Engine.consult_string_count engine table_rows_program in
+      let expect goal =
+        match Xsb.Engine.run_bounded_string engine goal with
+        | `Answers l ->
+            List.map (fun sol -> Protocol.Answer (Pretty_oracle.row s sol)) l
+            @ [ Protocol.Done { count = List.length l; more = false } ]
+        | _ -> Alcotest.failf "%s: expected every answer" goal
+        | exception e -> [ Protocol.Err (Protocol.Exec_error, Printexc.to_string e) ]
+      in
+      let bytes frames =
+        String.concat ""
+          (List.map
+             (function
+               | Protocol.Answer p -> per_frame (Protocol.Answer (Suite_pretty.relative_vids p))
+               | f -> per_frame f)
+             frames)
+      in
+      let run cfg =
+        with_server ~cfg (fun server ->
+            let fd = raw_connect (Server.port server) in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+                let reply req =
+                  Protocol.write_request oc req;
+                  let rec frames acc =
+                    match Protocol.read_reply ic with
+                    | (Protocol.Done _ | Protocol.Err _ | Protocol.Ok_ _) as f -> List.rev (f :: acc)
+                    | f -> frames (f :: acc)
+                  in
+                  frames []
+                in
+                let query goal = reply (Protocol.request Protocol.Query goal) in
+                (match expect "ng(N,T)" with
+                | Protocol.Answer row :: _ ->
+                    check_string "a shared variable" "N = 1, T = f(_G0,_G0,_G1)"
+                      (Suite_pretty.relative_vids row)
+                | _ -> Alcotest.fail "ng(N,T) has rows");
+                check_string "consult"
+                  (bytes [ Protocol.Ok_ (Printf.sprintf "consulted %d" clauses) ])
+                  (bytes (reply (Protocol.request Protocol.Consult table_rows_program)));
+                List.iter
+                  (fun goal ->
+                    let want = bytes (expect goal) in
+                    check_string (goal ^ ", query table") want (bytes (query goal));
+                    check_string (goal ^ ", completed table") want (bytes (query goal)))
+                  [ "ng(N,T)"; "opt(X)"; "quoted(X)"; "flt(X)" ];
+                (match expect "bad(X)" with
+                | [ Protocol.Err _ ] -> ()
+                | _ -> Alcotest.fail "bad(X) must raise after its table has answers");
+                check_string "ERR alone" (bytes (expect "bad(X)")) (bytes (query "bad(X)"));
+                check_string "in step" (bytes [ Protocol.Ok_ "pong" ])
+                  (bytes (reply (Protocol.request Protocol.Ping "")))))
+      in
+      if durable then
+        Suite_journal.with_dir (fun dir -> run { Server.default_config with data_dir = Some dir })
+      else run Server.default_config)
+
+(* The server runs only stratified sessions, so a conditional row is
+   checked at the engine level: written from the table by the row
+   callback, it is the oracle's and [Session.pp_solution]'s bytes. *)
+let conditional_row_case =
+  t "a conditional row ends in (undefined)" `Quick (fun () ->
+      let s = Xsb.Session.create ~mode:Xsb.Machine.Well_founded () in
+      Xsb.Session.consult s ":- table p/0, q/0.\np :- tnot(q).\nq :- tnot(p).\n";
+      let rows = ref [] in
+      let ending =
+        Xsb.Engine.run_rows (Xsb.Session.engine s) (Xsb.Parser.term_of_string "p") (fun row ->
+            let b = Buffer.create 16 in
+            Xsb.Session.add_row s b row;
+            rows := Buffer.contents b :: !rows;
+            true)
+      in
+      check_bool "complete" true (ending = `Answers);
+      match (!rows, Xsb.Session.query s "p") with
+      | [ row ], [ sol ] ->
+          check_string "oracle" (Pretty_oracle.row s sol) row;
+          check_string "pp_solution" (Fmt.str "%a" (Xsb.Session.pp_solution s) sol) row;
+          check_string "text" "true (undefined)" row
+      | _ -> Alcotest.fail "expected one row")
+
 (* a durable server renders a reply under the shared-session lock but
    writes it after releasing the lock, so a client that never reads its
    (huge) reply blocks only its own worker *)
@@ -1343,5 +1451,7 @@ let config_cases =
 let suite =
   protocol_cases @ bounded_cases @ negative_cases @ server_cases @ metrics_cases
   @ [ isolation_case; backpressure_case; shutdown_case ]
-  @ reply_cases @ [ slow_reader_case ] @ log_failure_cases @ profile_cases @ call_cases
+  @ reply_cases
+  @ [ table_rows_case ~durable:false; table_rows_case ~durable:true; conditional_row_case ]
+  @ [ slow_reader_case ] @ log_failure_cases @ profile_cases @ call_cases
   @ work_cases @ [ host_name_case; gate_order_case ] @ config_cases

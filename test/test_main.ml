@@ -3,6 +3,7 @@ let () =
     [
       ("term", Suite_term.suite);
       ("parse", Suite_parse.suite);
+      ("pretty", Suite_pretty.suite);
       ("index", Suite_index.suite);
       ("db", Suite_db.suite);
       ("hilog", Suite_hilog.suite);
