@@ -4,16 +4,14 @@
 
 let stop_requested = Atomic.make false
 
-(* [Server.start] consults the preload files in order and raises on the
-   first that does not load; the one to name is the first that fails on
-   its own *)
+(* [Server.start] consults the preload files in order into one session
+   and raises on the first that does not load; name it the same way *)
 let bad_preload paths =
-  let loads path =
-    match Xsb.Session.consult_file (Xsb.Session.create ()) path with
-    | () -> true
-    | exception _ -> false
+  let session = Xsb.Session.create () in
+  let fails path =
+    match Xsb.Session.consult_file session path with () -> false | exception _ -> true
   in
-  match List.find_opt (fun path -> not (loads path)) paths with
+  match List.find_opt fails paths with
   | Some path -> path
   | None -> String.concat ", " paths
 

@@ -55,20 +55,10 @@ exception Protocol_error of string
 
 let proto_error fmt = Printf.ksprintf (fun m -> raise (Protocol_error m)) fmt
 
-(* [input_line] would buffer an unbounded header from a hostile peer *)
-let read_line_bounded ic =
-  let buf = Buffer.create 64 in
-  let rec go n =
-    if n > max_line then proto_error "replication header line longer than %d bytes" max_line;
-    match input_char ic with
-    | '\n' -> Buffer.contents buf
-    | c ->
-        Buffer.add_char buf c;
-        go (n + 1)
-  in
-  go 0
-
-let words s = String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
+let read_line ic =
+  match Net.read_line ~max:max_line ic with
+  | Some line -> line
+  | None -> proto_error "replication header line longer than %d bytes" max_line
 
 let parse_len s =
   match int_of_string_opt s with
@@ -121,14 +111,8 @@ module Primary = struct
 
   type t = {
     journal : Xsb.Journal.t;
-    listen_fd : Unix.file_descr;
-    port : int;
-    stop_rd : Unix.file_descr;  (* self-pipe waking the acceptor's select *)
-    stop_wr : Unix.file_descr;
+    mutable listener : Net.listener option;  (* set by [start] *)
     stopped : bool Atomic.t;
-    conns : (int, Unix.file_descr * Thread.t) Hashtbl.t;
-    conns_m : Mutex.t;
-    conn_counter : int Atomic.t;
     shipped_bytes : int Atomic.t;
     snapshots_shipped : int Atomic.t;
     registry : Xsb.Metrics.t option;
@@ -136,16 +120,11 @@ module Primary = struct
     slots : (int, standby_info option ref) Hashtbl.t;
     slots_m : Mutex.t;
     mutable degraded : bool;  (* sticky until a semi-sync wait succeeds again *)
-    mutable acceptor : Thread.t option;
   }
 
-  let port t = t.port
-
-  let standbys t =
-    Mutex.lock t.conns_m;
-    let n = Hashtbl.length t.conns in
-    Mutex.unlock t.conns_m;
-    n
+  let listener t = Option.get t.listener
+  let port t = Net.port (listener t)
+  let standbys t = Net.connections (listener t)
 
   let shipped_bytes t = Atomic.get t.shipped_bytes
   let degraded t = t.degraded
@@ -253,7 +232,7 @@ module Primary = struct
   let ack_loop t si ic =
     try
       while not (Atomic.get t.stopped) do
-        match words (read_line_bounded ic) with
+        match Net.words (read_line ic) with
         | [ "ACK"; e; g; o ] ->
             ignore (parse_epoch e);
             (* the handshake already fenced the epoch for this connection *)
@@ -361,13 +340,13 @@ module Primary = struct
       end
     end
 
-  let handle t id fd =
+  let handle t fd =
     let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
     let si = ref None in
     let acker = ref None in
     (try
        let hello_epoch, hello_gen, hello_off =
-         match words (read_line_bounded ic) with
+         match Net.words (read_line ic) with
          | [ tag; "HELLO"; e; g; o ] when tag = proto_tag ->
              let e = parse_epoch e in
              let g, o = parse_pos g o in
@@ -396,59 +375,14 @@ module Primary = struct
     (* unblock the ack reader before joining it *)
     (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     (match !acker with Some th -> Thread.join th | None -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    (match !si with Some info -> release_slot t info | None -> ());
-    Mutex.lock t.conns_m;
-    Hashtbl.remove t.conns id;
-    Mutex.unlock t.conns_m
-
-  let acceptor_loop t =
-    let rec loop () =
-      if Atomic.get t.stopped then ()
-      else
-        match Unix.select [ t.listen_fd; t.stop_rd ] [] [] (-1.0) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-        | ready, _, _ ->
-            if List.mem t.stop_rd ready || Atomic.get t.stopped then ()
-            else begin
-              (match Unix.accept ~cloexec:true t.listen_fd with
-              | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EAGAIN | Unix.EINTR), _, _)
-                ->
-                  ()
-              | fd, _ ->
-                  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-                  let id = Atomic.fetch_and_add t.conn_counter 1 in
-                  Mutex.lock t.conns_m;
-                  let th = Thread.create (fun () -> handle t id fd) () in
-                  Hashtbl.replace t.conns id (fd, th);
-                  Mutex.unlock t.conns_m);
-              loop ()
-            end
-    in
-    loop ()
+    match !si with Some info -> release_slot t info | None -> ()
 
   let start ?(host = "127.0.0.1") ?registry ?on_deposed ~port ~journal () =
-    let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-    (try
-       Unix.bind listen_fd (Unix.ADDR_INET (Net.inet_addr host, port));
-       Unix.listen listen_fd 16
-     with e ->
-       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-       raise e);
-    let bound = match Unix.getsockname listen_fd with Unix.ADDR_INET (_, p) -> p | _ -> port in
-    let stop_rd, stop_wr = Unix.pipe ~cloexec:true () in
     let t =
       {
         journal;
-        listen_fd;
-        port = bound;
-        stop_rd;
-        stop_wr;
+        listener = None;
         stopped = Atomic.make false;
-        conns = Hashtbl.create 4;
-        conns_m = Mutex.create ();
-        conn_counter = Atomic.make 0;
         shipped_bytes = Atomic.make 0;
         snapshots_shipped = Atomic.make 0;
         registry;
@@ -456,9 +390,9 @@ module Primary = struct
         slots = Hashtbl.create 4;
         slots_m = Mutex.create ();
         degraded = false;
-        acceptor = None;
       }
     in
+    t.listener <- Some (Net.listen ~host ~port (fun _ fd -> handle t fd));
     (match registry with
     | Some reg ->
         Xsb.Metrics.gauge_fn reg ~help:"Connected replication standbys." "xsb_repl_standbys"
@@ -475,27 +409,9 @@ module Primary = struct
              out)."
           "xsb_repl_sync_degraded" (fun () -> if t.degraded then 1.0 else 0.0)
     | None -> ());
-    t.acceptor <- Some (Thread.create (fun () -> acceptor_loop t) ());
     t
 
-  let stop t =
-    if not (Atomic.exchange t.stopped true) then begin
-      (try ignore (Unix.write t.stop_wr (Bytes.of_string "x") 0 1) with Unix.Unix_error _ -> ());
-      (match t.acceptor with Some th -> Thread.join th | None -> ());
-      let conns =
-        Mutex.lock t.conns_m;
-        let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-        Mutex.unlock t.conns_m;
-        cs
-      in
-      List.iter
-        (fun (fd, _) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-        conns;
-      List.iter (fun (_, th) -> Thread.join th) conns;
-      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-      (try Unix.close t.stop_rd with Unix.Unix_error _ -> ());
-      try Unix.close t.stop_wr with Unix.Unix_error _ -> ()
-    end
+  let stop t = if not (Atomic.exchange t.stopped true) then Net.close (listener t) Unix.SHUTDOWN_ALL
 end
 
 (* --- the standby: connect, mirror, decode, apply, ack --- *)
@@ -590,16 +506,6 @@ module Standby = struct
         t.gen <- g;
         t.applied_off <- o)
 
-  let connect_once t =
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try
-       Unix.connect fd (Unix.ADDR_INET (Net.inet_addr t.primary_host, t.primary_port));
-       try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-
   let session t fd mirror =
     let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
     (* a fresh mirror starts over at generation 1, offset 0 *)
@@ -623,9 +529,9 @@ module Standby = struct
     in
     let touch () = with_lock t (fun () -> t.last_contact <- Xsb.Mclock.now ()) in
     while not (Atomic.get t.stopped) do
-      let line = read_line_bounded ic in
+      let line = read_line ic in
       touch ();
-      match words line with
+      match Net.words line with
       | [ "DATA"; g; o; lenw ] -> (
           let g, o = parse_pos g o in
           let len = parse_len lenw in
@@ -692,7 +598,7 @@ module Standby = struct
      resumes there. *)
   let rec run t =
     if (not (Atomic.get t.stopped)) && with_lock t (fun () -> t.fatal) = None then begin
-      (match connect_once t with
+      (match Net.connect t.primary_host t.primary_port with
       | exception (Unix.Unix_error _ | Not_found | Net.Unknown_host _) -> nap t reconnect_delay
       | fd ->
           with_lock t (fun () ->

@@ -49,7 +49,8 @@ module Primary : sig
     journal:Xsb.Journal.t ->
     unit ->
     t
-  (** Bind (port 0 picks an ephemeral one) and serve. Each accepted
+  (** Bind (port 0 picks an ephemeral one) and serve on a
+      {!Net.listen} listener. Each accepted
       standby gets its own streamer thread (reading
       {!Xsb.Journal.read_chunk} / {!Xsb.Journal.snapshot_blob_for})
       plus an ack-reader thread feeding {!wait_synced}. [?on_deposed]

@@ -1,13 +1,7 @@
 type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
 let connect ?(host = "127.0.0.1") port =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.connect fd (Unix.ADDR_INET (Xsb_repl.Net.inet_addr host, port));
-     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
+  let fd = Xsb_repl.Net.connect host port in
   { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
@@ -91,6 +85,21 @@ let role_info_of_payload payload =
       | None -> []);
     fatal = (match get "fatal" with Some "-" | None -> None | Some m -> Some m);
   }
+
+let role_payload_of_info r =
+  let b = Buffer.create 128 in
+  let line k v = Printf.bprintf b "%s: %s\n" k v in
+  let opt = Option.value ~default:"-" in
+  line "role" (match r.role with Primary_role -> "primary" | Standby_role -> "standby");
+  line "epoch" (Int64.to_string r.epoch);
+  line "generation" (Int64.to_string r.generation);
+  line "offset" (string_of_int r.offset);
+  if r.role = Standby_role then line "fatal" (opt r.fatal);
+  line "repl_port" (opt (Option.map string_of_int r.repl_port));
+  line "priority" (string_of_int r.priority);
+  line "read_only" (if r.read_only then "yes" else "no");
+  line "peers" (String.concat "," (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) r.peers));
+  Buffer.contents b
 
 let role_payload t = simple t (Protocol.request Protocol.Role "")
 

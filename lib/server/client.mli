@@ -76,6 +76,10 @@ val role_info_of_payload : string -> role_info
 (** Parse a raw ROLE payload ("key: value" lines); unknown keys are
     ignored. *)
 
+val role_payload_of_info : role_info -> string
+(** The ROLE payload a node sends: the inverse of
+    {!role_info_of_payload}. Only a standby has a [fatal] line. *)
+
 val probe_role : ?host:string -> int -> role_info option
 (** Connect, ask {!role}, close — [None] on any failure (refused,
     unreachable, malformed). Safe against dead nodes by construction. *)

@@ -99,23 +99,13 @@ let fmt_of_name = function
 
 (* --- low-level framing --- *)
 
-(* [input_line] would buffer an unbounded header from a hostile peer;
-   read at most [max_header] bytes ourselves *)
 let read_line_bounded ic =
-  let buf = Buffer.create 64 in
-  let rec go n =
-    if n > max_header then bad "header line longer than %d bytes" max_header;
-    match input_char ic with
-    | '\n' -> Buffer.contents buf
-    | c ->
-        Buffer.add_char buf c;
-        go (n + 1)
-  in
-  let line = go 0 in
+  match Xsb_repl.Net.read_line ~max:max_header ic with
+  | None -> bad "header line longer than %d bytes" max_header
   (* tolerate CRLF clients *)
-  if String.length line > 0 && line.[String.length line - 1] = '\r' then
-    String.sub line 0 (String.length line - 1)
-  else line
+  | Some line when String.ends_with ~suffix:"\r" line ->
+      String.sub line 0 (String.length line - 1)
+  | Some line -> line
 
 let parse_len s =
   match int_of_string_opt s with
@@ -125,8 +115,6 @@ let parse_len s =
 
 let read_payload ic len =
   try really_input_string ic len with End_of_file -> bad "truncated payload (wanted %d bytes)" len
-
-let split_words s = String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
 
 let parse_int_field key v =
   match int_of_string_opt v with
@@ -156,7 +144,7 @@ let write_request oc (r : request) =
 
 let read_request ic =
   let line = read_line_bounded ic in
-  match split_words line with
+  match Xsb_repl.Net.words line with
   | "XSB1" :: opw :: lenw :: fields ->
       let op = match op_of_name opw with Some op -> op | None -> bad "unknown op %S" opw in
       let len = parse_len lenw in
@@ -217,7 +205,7 @@ let write_reply oc reply =
 
 let read_reply ic =
   let line = read_line_bounded ic in
-  match split_words line with
+  match Xsb_repl.Net.words line with
   | [ "OK"; lenw ] -> Ok_ (read_payload ic (parse_len lenw))
   | [ "ANSWER"; lenw ] -> Answer (read_payload ic (parse_len lenw))
   | [ "DONE"; countw; morew ] -> (

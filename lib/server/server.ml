@@ -1,5 +1,5 @@
-(* The concurrent query service. One acceptor thread; one handler
-   thread per connection that reads a frame, runs the request itself
+(* The concurrent query service. One listener ([Net.listen]) runs a
+   handler thread per connection that reads a frame, runs the request itself
    and writes the reply (one request at a time per connection, so its
    private session is never shared). An admission gate caps how many
    requests execute at once and how many may wait. See server.mli and
@@ -138,7 +138,6 @@ end
 
 type conn = {
   c_id : int;
-  c_fd : Unix.file_descr;
   c_ic : in_channel;
   c_oc : out_channel;
   c_session : Xsb.Session.t;
@@ -161,23 +160,16 @@ type shared = {
 type t = {
   cfg : config;
   shared : shared option;
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  stop_rd : Unix.file_descr;  (* self-pipe waking the acceptor's select *)
-  stop_wr : Unix.file_descr;
+  mutable listener : Xsb_repl.Net.listener option;  (* set last by [start] *)
   gate : Gate.t;
   preload_texts : string list;
-  conns : (int, conn * Thread.t) Hashtbl.t;
-  conns_m : Mutex.t;
   stopped : bool Atomic.t;
   req_counter : int Atomic.t;
-  conn_counter : int Atomic.t;
   log_m : Mutex.t;
   registry : Xsb.Metrics.t;
   requests_total : Xsb.Metrics.Counter.t;
   op_hists : (string * Xsb.Metrics.Histogram.t) list;
   outcome_counters : (string * Xsb.Metrics.Counter.t) list;
-  mutable acceptor_thread : Thread.t option;
   (* replication roles; a standby may move from one to the other at
      promotion, serialized by [promote_m] *)
   promote_m : Mutex.t;
@@ -186,7 +178,8 @@ type t = {
   mutable failover_thread : Thread.t option;
 }
 
-let port t = t.bound_port
+let listener t = Option.get t.listener
+let port t = Xsb_repl.Net.port (listener t)
 let requests_served t = Xsb.Metrics.Counter.value t.requests_total
 let journal t = Option.map (fun sh -> sh.sh_journal) t.shared
 let read_only t = match t.shared with Some sh -> sh.sh_read_only | None -> None
@@ -426,7 +419,7 @@ let consider_failover t standby =
   let st = Xsb_repl.Repl.Standby.status standby in
   let open Xsb_repl.Repl.Standby in
   let peers =
-    List.filter (fun (h, p) -> not (h = t.cfg.host && p = t.bound_port)) t.cfg.peers
+    List.filter (fun (h, p) -> not (h = t.cfg.host && p = port t)) t.cfg.peers
   in
   let infos =
     List.filter_map
@@ -567,42 +560,39 @@ let execute t conn req ~deadline =
            and who else is in the topology. Never refused — a client
            re-dialing after a failover needs it from every node,
            including read-only and fenced ones. *)
-        let b = Buffer.create 128 in
-        (match t.repl_standby with
-        | Some s ->
-            let st = Xsb_repl.Repl.Standby.status s in
-            let open Xsb_repl.Repl.Standby in
-            Buffer.add_string b "role: standby\n";
-            Buffer.add_string b (Printf.sprintf "epoch: %Ld\n" st.epoch);
-            Buffer.add_string b (Printf.sprintf "generation: %Ld\n" st.generation);
-            Buffer.add_string b (Printf.sprintf "offset: %d\n" st.applied_off);
-            Buffer.add_string b
-              (Printf.sprintf "fatal: %s\n" (Option.value st.fatal ~default:"-"))
-        | None -> (
-            Buffer.add_string b "role: primary\n";
-            match t.shared with
-            | Some sh -> (
-                match
-                  ( Xsb.Journal.epoch sh.sh_journal,
-                    Xsb.Journal.durable_position sh.sh_journal )
-                with
-                | exception _ -> Buffer.add_string b "epoch: 0\ngeneration: 0\noffset: 0\n"
-                | e, (g, o) ->
-                    Buffer.add_string b (Printf.sprintf "epoch: %Ld\n" e);
-                    Buffer.add_string b (Printf.sprintf "generation: %Ld\n" g);
-                    Buffer.add_string b (Printf.sprintf "offset: %d\n" o))
-            | None -> Buffer.add_string b "epoch: 0\ngeneration: 0\noffset: 0\n"));
-        (match repl_listen_port t with
-        | Some p -> Buffer.add_string b (Printf.sprintf "repl_port: %d\n" p)
-        | None -> Buffer.add_string b "repl_port: -\n");
-        Buffer.add_string b (Printf.sprintf "priority: %d\n" t.cfg.promote_priority);
-        Buffer.add_string b
-          (Printf.sprintf "read_only: %s\n" (if read_only t <> None then "yes" else "no"));
-        Buffer.add_string b
-          (Printf.sprintf "peers: %s\n"
-             (String.concat ","
-                (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) t.cfg.peers)));
-        add_reply conn (Protocol.Ok_ (Buffer.contents b));
+        let primary =
+          {
+            Client.role = Client.Primary_role;
+            epoch = 0L;
+            generation = 0L;
+            offset = 0;
+            repl_port = repl_listen_port t;
+            priority = t.cfg.promote_priority;
+            read_only = read_only t <> None;
+            peers = t.cfg.peers;
+            fatal = None;
+          }
+        in
+        let info =
+          match (t.repl_standby, t.shared) with
+          | Some s, _ ->
+              let st = Xsb_repl.Repl.Standby.status s in
+              let open Xsb_repl.Repl.Standby in
+              {
+                primary with
+                role = Client.Standby_role;
+                epoch = st.epoch;
+                generation = st.generation;
+                offset = st.applied_off;
+                fatal = st.fatal;
+              }
+          | None, Some sh -> (
+              match (Xsb.Journal.epoch sh.sh_journal, Xsb.Journal.durable_position sh.sh_journal) with
+              | exception _ -> primary
+              | epoch, (generation, offset) -> { primary with epoch; generation; offset })
+          | None, None -> primary
+        in
+        add_reply conn (Protocol.Ok_ (Client.role_payload_of_info info));
         ("ok", "", 0)
     | Protocol.Promote ->
         (* handled before the shared lock (see [finishing]); reaching
@@ -892,18 +882,6 @@ let execute_safe t conn req ~deadline =
 
 (* --- the per-connection handler --- *)
 
-let close_conn t conn =
-  (* the per-connection table space dies with the session; abolish it
-     explicitly so a reused engine can never leak answers across
-     connections. The shared durable session outlives its connections:
-     leave its tables alone. *)
-  (if t.shared = None then
-     try Xsb.Engine.reset_tables (Xsb.Session.engine conn.c_session) with _ -> ());
-  (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.conns_m;
-  Hashtbl.remove t.conns conn.c_id;
-  Mutex.unlock t.conns_m
-
 let refuse t conn req code msg outcome =
   add_reply conn (Protocol.Err (code, msg));
   send conn;
@@ -945,59 +923,34 @@ let handler_loop t conn =
             refuse t conn req Protocol.Shutting_down "server is draining" "shutting_down");
         loop ()
   in
-  loop ();
-  close_conn t conn
+  loop ()
 
-(* --- accepting --- *)
-
-let make_conn t fd =
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+(* a connection's own thread builds its session, so a large preload
+   never holds up accepting *)
+let serve t id fd =
   let session =
     match t.shared with
     | Some sh -> sh.sh_session
     | None ->
         let session = Xsb.Session.create ?scheduling:t.cfg.scheduling () in
         if t.cfg.profile then Xsb.Session.set_profiling ~registry:t.registry session true;
-        List.iter (fun text -> Xsb.Session.consult session text) t.preload_texts;
+        List.iter (Xsb.Session.consult session) t.preload_texts;
         session
   in
-  {
-    c_id = Atomic.fetch_and_add t.conn_counter 1 + 1;
-    c_fd = fd;
-    c_ic = Unix.in_channel_of_descr fd;
-    c_oc = Unix.out_channel_of_descr fd;
-    c_session = session;
-    c_reply = Buffer.create 4096;
-  }
-
-let acceptor_loop t =
-  let rec loop () =
-    if Atomic.get t.stopped then ()
-    else
-      match Unix.select [ t.listen_fd; t.stop_rd ] [] [] (-1.0) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | ready, _, _ ->
-          if List.mem t.stop_rd ready || Atomic.get t.stopped then ()
-          else if List.mem t.listen_fd ready then begin
-            (match Unix.accept ~cloexec:true t.listen_fd with
-            | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EAGAIN | Unix.EINTR), _, _) ->
-                ()
-            | fd, _ -> (
-                match make_conn t fd with
-                | exception _ -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-                | conn ->
-                    (* register before spawning: [stop] joins the
-                       acceptor first, so the registry is complete when
-                       it snapshots the handlers to drain *)
-                    Mutex.lock t.conns_m;
-                    let th = Thread.create (fun () -> handler_loop t conn) () in
-                    Hashtbl.replace t.conns conn.c_id (conn, th);
-                    Mutex.unlock t.conns_m));
-            loop ()
-          end
-          else loop ()
-  in
-  loop ()
+  handler_loop t
+    {
+      c_id = id;
+      c_ic = Unix.in_channel_of_descr fd;
+      c_oc = Unix.out_channel_of_descr fd;
+      c_session = session;
+      c_reply = Buffer.create 4096;
+    };
+  (* the per-connection table space dies with the session; abolish it
+     explicitly so a reused engine can never leak answers across
+     connections. The shared durable session outlives its connections:
+     leave its tables alone. *)
+  if t.shared = None then
+    try Xsb.Engine.reset_tables (Xsb.Session.engine session) with _ -> ()
 
 (* --- lifecycle --- *)
 
@@ -1017,26 +970,24 @@ let start cfg =
      the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let preload_texts = read_preloads cfg.preload in
-  (* parse errors in preloads should fail [start], not every connection *)
-  List.iter
-    (fun text ->
-      let probe = Xsb.Session.create ?scheduling:cfg.scheduling () in
-      Xsb.Session.consult probe text)
-    preload_texts;
+  let registry = Xsb.Metrics.create () in
+  (* the preloads go into one session, in order, so a file may use what
+     an earlier one declares, and one that does not load fails [start],
+     not every connection. With a data dir it is the shared session *)
+  let session = Xsb.Session.create ?scheduling:cfg.scheduling () in
+  if cfg.profile && cfg.data_dir <> None then Xsb.Session.set_profiling ~registry session true;
+  List.iter (Xsb.Session.consult session) preload_texts;
   if cfg.replica_of <> None && cfg.data_dir = None then
     invalid_arg "Server.start: replica_of requires data_dir";
   if cfg.repl_port <> None && cfg.data_dir = None then
     invalid_arg "Server.start: repl_port requires data_dir";
-  let registry = Xsb.Metrics.create () in
   let shared =
     match cfg.data_dir with
     | None -> None
     | Some dir ->
-        (* preloads go in BEFORE the journal opens: they are program
-           text, not journaled state, and recovery replays on top *)
-        let session = Xsb.Session.create ?scheduling:cfg.scheduling () in
-        if cfg.profile then Xsb.Session.set_profiling ~registry session true;
-        List.iter (fun text -> Xsb.Session.consult session text) preload_texts;
+        (* the preloads went in BEFORE the journal opens: they are
+           program text, not journaled state, and recovery replays on
+           top *)
         let journal = Xsb.Journal.open_ (journal_config cfg dir) (Xsb.Session.db session) in
         let read_only =
           match cfg.replica_of with
@@ -1061,23 +1012,6 @@ let start cfg =
     | Some sh -> ( try Xsb.Journal.close sh.sh_journal with _ -> ())
     | None -> ()
   in
-  let listen_fd =
-    try Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0
-    with e ->
-      close_shared ();
-      raise e
-  in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  (try Unix.bind listen_fd (Unix.ADDR_INET (Xsb_repl.Net.inet_addr cfg.host, cfg.port))
-   with e ->
-     Unix.close listen_fd;
-     close_shared ();
-     raise e);
-  Unix.listen listen_fd 64;
-  let bound_port =
-    match Unix.getsockname listen_fd with Unix.ADDR_INET (_, p) -> p | _ -> cfg.port
-  in
-  let stop_rd, stop_wr = Unix.pipe ~cloexec:true () in
   let requests_total =
     Xsb.Metrics.counter registry
       ~help:"Requests finished (one per access-log line, refusals included)."
@@ -1109,28 +1043,28 @@ let start cfg =
     {
       cfg;
       shared;
-      listen_fd;
-      bound_port;
-      stop_rd;
-      stop_wr;
+      listener = None;
       gate = Gate.create ~slots:cfg.workers ~cap:cfg.queue_capacity;
       preload_texts;
-      conns = Hashtbl.create 16;
-      conns_m = Mutex.create ();
       stopped = Atomic.make false;
       req_counter = Atomic.make 0;
-      conn_counter = Atomic.make 0;
       log_m = Mutex.create ();
       registry;
       requests_total;
       op_hists;
       outcome_counters;
-      acceptor_thread = None;
       promote_m = Mutex.create ();
       repl_primary = None;
       repl_standby = None;
       failover_thread = None;
     }
+  in
+  (* a role or the listener that does not come up takes down what did *)
+  let abandon e =
+    Option.iter (fun s -> try Xsb_repl.Repl.Standby.stop s with _ -> ()) t.repl_standby;
+    Option.iter (fun p -> try Xsb_repl.Repl.Primary.stop p with _ -> ()) t.repl_primary;
+    close_shared ();
+    raise e
   in
   (try
      (match (shared, cfg.replica_of) with
@@ -1177,29 +1111,19 @@ let start cfg =
                 ~on_deposed:(fun e -> deposed t e)
                 ~port:p ~journal:sh.sh_journal ())
      | _ -> ()
-   with e ->
-     (match t.repl_standby with
-     | Some s -> ( try Xsb_repl.Repl.Standby.stop s with _ -> ())
-     | None -> ());
-     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-     (try Unix.close t.stop_rd with Unix.Unix_error _ -> ());
-     (try Unix.close t.stop_wr with Unix.Unix_error _ -> ());
-     close_shared ();
-     raise e);
+   with e -> abandon e);
   (* liveness gauges, sampled at scrape time *)
   Xsb.Metrics.gauge_fn registry ~help:"Requests currently executing."
     "xsb_in_flight_requests" (fun () -> Float.of_int (Gate.running t.gate));
   Xsb.Metrics.gauge_fn registry ~help:"Requests waiting to execute."
     "xsb_queue_depth" (fun () -> Float.of_int (Gate.waiting t.gate));
   Xsb.Metrics.gauge_fn registry ~help:"Open client connections." "xsb_connections"
-    (fun () ->
-      Mutex.lock t.conns_m;
-      let n = Hashtbl.length t.conns in
-      Mutex.unlock t.conns_m;
-      Float.of_int n);
+    (fun () -> Float.of_int (Xsb_repl.Net.connections (listener t)));
   Xsb.Metrics.gauge_fn registry ~help:"Requests allowed to execute at once (--workers)."
     "xsb_workers" (fun () -> Float.of_int t.cfg.workers);
-  t.acceptor_thread <- Some (Thread.create (fun () -> acceptor_loop t) ());
+  (* accept only once the replication roles are up *)
+  (try t.listener <- Some (Xsb_repl.Net.listen ~host:cfg.host ~port:cfg.port (serve t))
+   with e -> abandon e);
   if cfg.auto_promote && t.repl_standby <> None then
     t.failover_thread <- Some (Thread.create (fun () -> failover_monitor t) ());
   t
@@ -1209,23 +1133,12 @@ let stop t =
     (* 1. no new entries: handlers now answer SHUTTING_DOWN *)
     Gate.stop t.gate;
     (* 2. no new connections *)
-    (try ignore (Unix.write t.stop_wr (Bytes.of_string "x") 0 1) with Unix.Unix_error _ -> ());
-    (match t.acceptor_thread with Some th -> Thread.join th | None -> ());
+    Xsb_repl.Net.stop_accepting (listener t);
     (* 3. drain: no request enters after (1), and every one running or
        waiting at the gate before it completes — zero dropped in flight *)
     Gate.drain t.gate;
     (* 4. wake handlers blocked reading the next frame, and join them *)
-    let handlers =
-      Mutex.lock t.conns_m;
-      let hs = Hashtbl.fold (fun _ (conn, th) acc -> (conn, th) :: acc) t.conns [] in
-      Mutex.unlock t.conns_m;
-      hs
-    in
-    List.iter
-      (fun (conn, _) ->
-        try Unix.shutdown conn.c_fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      handlers;
-    List.iter (fun (_, th) -> Thread.join th) handlers;
+    Xsb_repl.Net.close (listener t) Unix.SHUTDOWN_RECEIVE;
     (* the failover monitor may be mid-probe or mid-promotion; join it
        before the replication components and journal come down *)
     (match t.failover_thread with
@@ -1233,9 +1146,6 @@ let stop t =
         Thread.join th;
         t.failover_thread <- None
     | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (try Unix.close t.stop_rd with Unix.Unix_error _ -> ());
-    (try Unix.close t.stop_wr with Unix.Unix_error _ -> ());
     (* the handlers are joined: no request (or promotion) is in flight,
        so the replication components can come down cleanly *)
     (match t.repl_standby with

@@ -3,8 +3,8 @@
     wait line: backpressure), per-request deadlines, per-connection
     {!Xsb.Session} isolation, and a JSONL access log.
 
-    Architecture (DESIGN.md §8): one acceptor thread; one handler
-    thread per connection that reads a frame, runs the request itself
+    Architecture (DESIGN.md §8): one {!Xsb_repl.Net.listen}er; one
+    handler thread per connection that reads a frame, runs the request itself
     and writes its reply (so a connection's requests execute in order
     against its private session). Before it runs a request the handler
     passes the gate: at most [workers] requests execute at once, and at
@@ -90,7 +90,9 @@ val default_config : config
 type t
 
 val start : config -> t
-(** Bind, listen and spawn the acceptor. [host] is a name or a numeric
+(** Load the preload files in order into one session (a file may use
+    an operator an earlier one declares), bring up the replication
+    roles, and last start accepting. [host] is a name or a numeric
     address ({!Xsb_repl.Net.inet_addr}). Raises [Unix.Unix_error] if
     the address is unavailable, {!Xsb_repl.Net.Unknown_host} if [host]
     does not resolve, [Sys_error] if a preload file is unreadable, and

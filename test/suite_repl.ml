@@ -117,8 +117,102 @@ let metric_value text name =
              float_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
          | _ -> None)
 
-let suite =
+(* --- Net: the one listener and dial under the server and the feed --- *)
+
+module Net = Xsb_repl.Net
+
+(* every handler first sends its connection id as a line *)
+let with_listener ?(rest = fun _ -> ()) f =
+  let greet id fd =
+    let oc = Unix.out_channel_of_descr fd in
+    Printf.fprintf oc "%d\n" id;
+    flush oc;
+    rest fd
+  in
+  let l = Net.listen ~host:"127.0.0.1" ~port:0 greet in
+  Fun.protect ~finally:(fun () -> Net.close l Unix.SHUTDOWN_ALL) (fun () -> f l)
+
+(* dial and read the greeting: (fd, its in_channel, the id) *)
+let dial l =
+  let fd = Net.connect "127.0.0.1" (Net.port l) in
+  let ic = Unix.in_channel_of_descr fd in
+  (fd, ic, int_of_string (input_line ic))
+
+(* a handler that echoes lines until the peer closes *)
+let echo fd =
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  try
+    while true do
+      output_string oc (input_line ic ^ "\n");
+      flush oc
+    done
+  with End_of_file | Sys_error _ -> ()
+
+let net_cases =
   [
+    t "net: connection ids count from 1 in accept order" `Quick (fun () ->
+        with_listener ~rest:echo (fun l ->
+            let conns = List.init 4 (fun _ -> dial l) in
+            Alcotest.(check (list int)) "ids" [ 1; 2; 3; 4 ] (List.map (fun (_, _, id) -> id) conns);
+            List.iter (fun (fd, _, _) -> Unix.close fd) conns));
+    t "net: connections rises and falls" `Quick (fun () ->
+        with_listener ~rest:echo (fun l ->
+            check_int "none yet" 0 (Net.connections l);
+            let a, _, _ = dial l in
+            let b, _, _ = dial l in
+            check_int "two open" 2 (Net.connections l);
+            Unix.close a;
+            settle "one left" (fun () -> Net.connections l = 1);
+            Unix.close b;
+            settle "none left" (fun () -> Net.connections l = 0)));
+    t "net: after stop_accepting, accepted connections keep working" `Quick (fun () ->
+        with_listener ~rest:echo (fun l ->
+            let fd, ic, _ = dial l in
+            Net.stop_accepting l;
+            let oc = Unix.out_channel_of_descr fd in
+            output_string oc "still here\n";
+            flush oc;
+            Alcotest.(check string) "echoed" "still here" (input_line ic);
+            check_int "still registered" 1 (Net.connections l);
+            Unix.close fd));
+    t "net: close joins a handler blocked in a read" `Quick (fun () ->
+        let finished = Atomic.make false in
+        let l =
+          Net.listen ~host:"127.0.0.1" ~port:0 (fun _ fd ->
+              let oc = Unix.out_channel_of_descr fd in
+              output_string oc "0\n";
+              flush oc;
+              echo fd;
+              Atomic.set finished true)
+        in
+        let fd, _, _ = dial l in
+        Net.close l Unix.SHUTDOWN_RECEIVE;
+        check_bool "the handler returned before close did" true (Atomic.get finished);
+        check_int "registry empty" 0 (Net.connections l);
+        Unix.close fd);
+    t "net: a handler that raises closes its fd and leaves the registry" `Quick (fun () ->
+        (* the runtime reports the thread's exception on stderr *)
+        with_listener ~rest:(fun _ -> failwith "handler bug") (fun l ->
+            let fd, ic, _ = dial l in
+            check_bool "the peer reads EOF" true
+              (match input_line ic with exception End_of_file -> true | _ -> false);
+            settle "left the registry" (fun () -> Net.connections l = 0);
+            Unix.close fd));
+    t "net: a bind on a busy port raises and leaves no fd behind" `Quick (fun () ->
+        with_listener (fun l ->
+            let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+            let before = open_fds () in
+            (match Net.listen ~host:"127.0.0.1" ~port:(Net.port l) (fun _ _ -> ()) with
+            | exception Unix.Unix_error _ -> ()
+            | l2 ->
+                Net.close l2 Unix.SHUTDOWN_ALL;
+                Alcotest.fail "bound a busy port");
+            check_int "open descriptors" before (open_fds ())));
+  ]
+
+let suite =
+  net_cases
+  @ [
     t "standby follows live writes and serves the same answers" `Quick (fun () ->
         with_dir (fun pdir ->
             with_dir (fun sdir ->

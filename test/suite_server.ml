@@ -1432,6 +1432,17 @@ let config_cases =
             | server ->
                 Server.stop server;
                 Alcotest.fail "started with a malformed preload"));
+    t "preload: a file may use an operator an earlier file declares" `Quick (fun () ->
+        with_program_file ":- op(700, xfx, ===>).\n" (fun a ->
+            with_program_file "r(1 ===> 2).\n" (fun b ->
+                let run cfg =
+                  with_server ~cfg:{ cfg with Server.preload = [ a; b ] } (fun server ->
+                      with_client server (fun c ->
+                          check_int "one r/1 row" 1 (List.length (rows_of (Client.query c "r(X)")))))
+                in
+                run Server.default_config;
+                Suite_journal.with_dir (fun dir ->
+                    run { Server.default_config with data_dir = Some dir }))));
     t "max_answers caps every QUERY, with or without a limit" `Quick (fun () ->
         let cfg = { Server.default_config with max_answers = 3 } in
         with_server ~cfg (fun server ->
@@ -1448,10 +1459,60 @@ let config_cases =
                 rows "limit=2: DONE 2 1" (2, true) (query ~limit:2 ()))));
   ]
 
+(* --- the ROLE payload: Client writes it and parses it --- *)
+
+let role_cases =
+  let standby =
+    {
+      Client.role = Client.Standby_role;
+      epoch = 3L;
+      generation = 2L;
+      offset = 120;
+      repl_port = None;
+      priority = 1;
+      read_only = true;
+      peers = [ ("127.0.0.1", 7001); ("h2", 7002) ];
+      fatal = Some "fenced: epoch 2 position 2/130 diverged";
+    }
+  in
+  let primary =
+    {
+      Client.role = Client.Primary_role;
+      epoch = 2L;
+      generation = 5L;
+      offset = 4096;
+      repl_port = Some 7101;
+      priority = 0;
+      read_only = false;
+      peers = [];
+      fatal = None;
+    }
+  in
+  [
+    t "ROLE payload: a primary's and a standby's bytes" `Quick (fun () ->
+        check_string "primary"
+          "role: primary\nepoch: 2\ngeneration: 5\noffset: 4096\nrepl_port: 7101\npriority: 0\nread_only: no\npeers: \n"
+          (Client.role_payload_of_info primary);
+        check_string "standby"
+          "role: standby\nepoch: 3\ngeneration: 2\noffset: 120\nfatal: fenced: epoch 2 position 2/130 diverged\nrepl_port: -\npriority: 1\nread_only: yes\npeers: 127.0.0.1:7001,h2:7002\n"
+          (Client.role_payload_of_info standby);
+        with_server (fun server ->
+            with_client server (fun c ->
+                check_string "an in-memory server"
+                  "role: primary\nepoch: 0\ngeneration: 0\noffset: 0\nrepl_port: -\npriority: 0\nread_only: no\npeers: \n"
+                  (ok (Client.role_payload c)))));
+    t "ROLE payload: parsing what is written gives the info back" `Quick (fun () ->
+        List.iter
+          (fun r ->
+            check_bool "round trip" true
+              (Client.role_info_of_payload (Client.role_payload_of_info r) = r))
+          [ primary; standby; { standby with fatal = None; peers = [] }; { primary with peers = standby.peers } ]);
+  ]
+
 let suite =
   protocol_cases @ bounded_cases @ negative_cases @ server_cases @ metrics_cases
   @ [ isolation_case; backpressure_case; shutdown_case ]
   @ reply_cases
   @ [ table_rows_case ~durable:false; table_rows_case ~durable:true; conditional_row_case ]
   @ [ slow_reader_case ] @ log_failure_cases @ profile_cases @ call_cases
-  @ work_cases @ [ host_name_case; gate_order_case ] @ config_cases
+  @ work_cases @ [ host_name_case; gate_order_case ] @ config_cases @ role_cases
