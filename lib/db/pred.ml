@@ -167,6 +167,32 @@ let[@tail_mod_cons] rec by_ids t = function
       let c = get t id in
       if c == tombstone then by_ids t ids else c :: by_ids t ids
 
+let demand_index_min_clauses = 8
+
+(* Just-in-time argument indexing (see [lookup] in the interface). The
+   first bound argument has no single-field index yet, or that index
+   would have served the call. Appended after the declared indexes, so
+   those keep their priority; [index_insert] and [remove] keep it up to
+   date, and [rebuild_indexes] drops it. *)
+let demand_index t call_args =
+  let rec first_bound i =
+    if i >= t.arity then None
+    else match Term.deref call_args.(i) with Term.Var _ -> first_bound (i + 1) | _ -> Some (i + 1)
+  in
+  match t.spec with
+  | First_string_index | Disc_tree_index -> None
+  | Fields _ when t.nlive <= demand_index_min_clauses -> None
+  | Fields _ ->
+      Option.map
+        (fun field ->
+          let idx = Arg_hash.create ~size_hint:t.nlive [ field ] in
+          List.iter (fun c -> Arg_hash.insert idx c.id (head_args c)) (clauses t);
+          t.hash_indexes <- t.hash_indexes @ [ idx ];
+          idx)
+        (first_bound 0)
+
+let hash_index_fields t = List.map Arg_hash.fields t.hash_indexes
+
 let lookup t call_args =
   if Array.length call_args <> t.arity then []
   else
@@ -183,4 +209,17 @@ let lookup t call_args =
         match (t.first_string, t.disc_tree) with
         | Some trie, _ -> by_ids t (First_string.lookup trie call_args)
         | None, Some tree -> by_ids t (Disc_tree.lookup tree call_args)
-        | None, None -> clauses t)
+        | None, None -> (
+            match Option.bind (demand_index t call_args) (fun i -> Arg_hash.lookup i call_args) with
+            | Some ids -> by_ids t ids
+            | None -> clauses t))
+
+let clashes call_args clause =
+  let args = head_args clause in
+  let n = Array.length args in
+  let rec go i = i < n && (Unify.clash call_args.(i) args.(i) || go (i + 1)) in
+  Array.length call_args = n && go 0
+
+let renamed clause =
+  if Term.is_ground clause.head && Term.is_ground clause.body then (clause.head, clause.body)
+  else Term.copy2 clause.head clause.body

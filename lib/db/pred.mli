@@ -77,4 +77,31 @@ val clauses : t -> clause list
 val lookup : t -> Term.t array -> clause list
 (** Candidate clauses for a call with the given (possibly unbound)
     arguments, using the best applicable index; a superset of the
-    unifiable clauses, in clause order. *)
+    unifiable clauses, in clause order.
+
+    When no hash index serves the call, the spec is [Fields], the
+    predicate has more than {!demand_index_min_clauses} live clauses and
+    some argument is bound, the call first builds a single-field hash
+    index on the first bound argument (just-in-time indexing). Such an
+    index is kept up to date like a declared one until the next
+    {!set_index}; it is derived state: {!index_spec} does not report it,
+    and nothing persists it. *)
+
+val demand_index_min_clauses : int
+(** A predicate needs more live clauses than this before a call builds
+    an index on demand. *)
+
+val hash_index_fields : t -> int list list
+(** The fields of every hash index in use: the declared ones in order,
+    then those built on demand. *)
+
+val clashes : Term.t array -> clause -> bool
+(** [clashes call_args clause]: some argument of the call and of the
+    clause head are bound to different outer symbols, so the call cannot
+    resolve with the clause. Allocates nothing; a clause that clashes
+    need not be renamed. *)
+
+val renamed : clause -> Term.t * Term.t
+(** The clause's head and body renamed apart with fresh variables. A
+    ground clause comes back as stored, without a copy: nothing in it
+    can be bound. *)

@@ -11,7 +11,8 @@
     The registry is global and mutex-protected (the server tests arm
     sites from the test thread while workers write). Production code
     never arms anything, so the cost of an unarmed site is one mutex
-    cycle and a hash lookup on the journal's I/O path only. *)
+    cycle and a hash lookup on the journal's I/O path, the replication
+    stream, and each [accept] of a listener (site ["net.accept"]). *)
 
 type action =
   | Fail  (** the operation fails with a typed [Journal.Io_error] — models EIO/ENOSPC *)

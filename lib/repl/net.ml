@@ -40,6 +40,7 @@ type listener = {
   conns : (int, Unix.file_descr * Thread.t) Hashtbl.t;
   mutable accepted : int;
   mutable acceptor : Thread.t option;  (* [None] once [stop_accepting] ran *)
+  accept_errors : Xsb.Metrics.Counter.t option;
 }
 
 let port l = l.port
@@ -53,13 +54,30 @@ let serve l handle id fd =
           try Unix.close fd with Unix.Unix_error _ -> ()))
     (fun () -> handle id fd)
 
+(* the pause after an accept error other than a lost race: long enough
+   that a process out of descriptors does not spin, short enough that
+   connections queued in the backlog wait little once one is freed *)
+let accept_backoff = 0.05
+
+let accept sock =
+  match Xsb.Failpoint.check "net.accept" with
+  | Some _ -> raise (Unix.Unix_error (Unix.EMFILE, "accept", ""))
+  | None -> Unix.accept ~cloexec:true sock
+
 let rec accept_loop l handle =
   match Unix.select [ l.sock; l.wake_rd ] [] [] (-1.0) with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop l handle
   | ready, _, _ when List.mem l.wake_rd ready -> ()
   | _ ->
-      (match Unix.accept ~cloexec:true l.sock with
+      (match accept l.sock with
       | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EAGAIN | Unix.EINTR), _, _) -> ()
+      | exception Unix.Unix_error _ -> (
+          (* EMFILE, ENFILE, ENOBUFS, ENOMEM: the process or the kernel is
+             short of a resource for now. The connection stays in the
+             backlog; wait (or wake for [stop_accepting]) and try again *)
+          Option.iter Xsb.Metrics.Counter.incr l.accept_errors;
+          try ignore (Unix.select [ l.wake_rd ] [] [] accept_backoff)
+          with Unix.Unix_error (Unix.EINTR, _, _) -> ())
       | fd, _ ->
           nodelay fd;
           (* registered under the lock its thread is created under: once
@@ -71,7 +89,7 @@ let rec accept_loop l handle =
               Hashtbl.replace l.conns id (fd, Thread.create (serve l handle id) fd)));
       accept_loop l handle
 
-let listen ~host ~port handle =
+let listen ?accept_errors ~host ~port handle =
   let addr = Unix.ADDR_INET (inet_addr host, port) in
   let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
@@ -93,6 +111,15 @@ let listen ~host ~port handle =
       conns = Hashtbl.create 16;
       accepted = 0;
       acceptor = None;
+      accept_errors =
+        Option.map
+          (fun (reg, name) ->
+            Xsb.Metrics.counter reg ~labels:[ ("listener", name) ]
+              ~help:
+                "Accept calls that failed for want of a resource (EMFILE, ENFILE, ENOBUFS, \
+                 ENOMEM)."
+              "xsb_accept_errors_total")
+          accept_errors;
     }
   in
   l.acceptor <- Some (Thread.create (fun () -> accept_loop l handle) ());

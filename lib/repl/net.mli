@@ -18,7 +18,12 @@ val connect : string -> int -> Unix.file_descr
 
 type listener
 
-val listen : host:string -> port:int -> (int -> Unix.file_descr -> unit) -> listener
+val listen :
+  ?accept_errors:Xsb.Metrics.t * string ->
+  host:string ->
+  port:int ->
+  (int -> Unix.file_descr -> unit) ->
+  listener
 (** Bind (port 0 picks an ephemeral one), listen, and accept on a
     thread of its own. Each connection gets [TCP_NODELAY], an id
     counting from 1 in accept order, and a thread running
@@ -26,7 +31,14 @@ val listen : host:string -> port:int -> (int -> Unix.file_descr -> unit) -> list
     its thread is created under, so it is counted before [handle] can
     return; when [handle] returns or raises, the connection leaves the
     registry and [fd] is closed. A failed bind raises [Unix_error]
-    and leaves no descriptor open. *)
+    and leaves no descriptor open.
+
+    An [accept] that fails for want of a resource ([EMFILE], [ENFILE],
+    [ENOBUFS], [ENOMEM], ...) pauses 50 ms and accepts again; with
+    [~accept_errors:(registry, name)] it also bumps
+    [xsb_accept_errors_total{listener=name}] in [registry]. The pending
+    connection waits in the backlog. The failpoint site ["net.accept"],
+    once armed, makes the next [accept] fail with [EMFILE]. *)
 
 val port : listener -> int
 (** The bound port. *)

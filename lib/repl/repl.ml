@@ -392,7 +392,8 @@ module Primary = struct
         degraded = false;
       }
     in
-    t.listener <- Some (Net.listen ~host ~port (fun _ fd -> handle t fd));
+    let accept_errors = Option.map (fun reg -> (reg, "repl")) registry in
+    t.listener <- Some (Net.listen ?accept_errors ~host ~port (fun _ fd -> handle t fd));
     (match registry with
     | Some reg ->
         Xsb.Metrics.gauge_fn reg ~help:"Connected replication standbys." "xsb_repl_standbys"

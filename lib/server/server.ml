@@ -1122,7 +1122,11 @@ let start cfg =
   Xsb.Metrics.gauge_fn registry ~help:"Requests allowed to execute at once (--workers)."
     "xsb_workers" (fun () -> Float.of_int t.cfg.workers);
   (* accept only once the replication roles are up *)
-  (try t.listener <- Some (Xsb_repl.Net.listen ~host:cfg.host ~port:cfg.port (serve t))
+  (try
+     t.listener <-
+       Some
+         (Xsb_repl.Net.listen ~accept_errors:(registry, "query") ~host:cfg.host ~port:cfg.port
+            (serve t))
    with e -> abandon e);
   if cfg.auto_promote && t.repl_standby <> None then
     t.failover_thread <- Some (Thread.create (fun () -> failover_monitor t) ());

@@ -243,9 +243,10 @@ let retract ctx args sk =
       in
       let rec go = function
         | [] -> ()
+        | clause :: rest when Pred.clashes pattern_args clause -> go rest
         | clause :: rest ->
             let m = Trail.mark ctx.trail in
-            let h, b = Term.copy2 clause.Pred.head clause.Pred.body in
+            let h, b = Pred.renamed clause in
             if Unify.unify ctx.trail head h && Unify.unify ctx.trail body b then begin
               Database.retract_clause ctx.db pred clause;
               sk ();

@@ -1288,18 +1288,21 @@ and solve_untabled ev ~det ~owner ~template ~delays ~barrier pred goal rest =
   note_dyn_read owner pred;
   let b = fresh_barrier env in
   let endscope = Term.Struct ("$endscope", [| Term.Int barrier |]) in
-  let candidates = Pred.lookup pred (args_of goal) in
+  let call_args = args_of goal in
+  let candidates = Pred.lookup pred call_args in
   let h = if env.profiling then Some (prof env (pred_key_of goal)) else None in
   with_cut_catch env b (fun () ->
       List.iter
         (fun clause ->
-          let m = Trail.mark env.trail in
-          env.stats.st_resolutions <- env.stats.st_resolutions + 1;
-          (match h with Some h -> Counter.incr h.resolutions | None -> ());
-          let head, body = Term.copy2 clause.Pred.head clause.Pred.body in
-          if Unify.unify env.trail goal head then
-            solve ev ~det ~owner ~template ~delays ~barrier:b (body :: endscope :: rest);
-          Trail.undo_to env.trail m)
+          if not (Pred.clashes call_args clause) then begin
+            let m = Trail.mark env.trail in
+            env.stats.st_resolutions <- env.stats.st_resolutions + 1;
+            (match h with Some h -> Counter.incr h.resolutions | None -> ());
+            let head, body = Pred.renamed clause in
+            if Unify.unify env.trail goal head then
+              solve ev ~det ~owner ~template ~delays ~barrier:b (body :: endscope :: rest);
+            Trail.undo_to env.trail m
+          end)
         candidates)
 
 (* Consume the answers of a table inline, as ordinary alternatives. Used
@@ -1461,6 +1464,13 @@ and nested_completion ?stop_on_first ev goal key =
   in
   (try run_eval ?stop nested
    with e ->
+     (* a completed table with a conditional answer may be delayed on an
+        incomplete one that [abandon_eval] is about to delete; kept, it
+        would read that delay as false *)
+     List.iter
+       (fun sub ->
+         if sub.s_state = Complete && sub.s_uncond < answer_count sub then delete_table env sub)
+       nested.e_created;
      abandon_eval nested;
      raise e);
   if sub.s_state = Incomplete then begin
@@ -1713,18 +1723,21 @@ and run_task ev task =
       in
       note_dyn_read sub pred;
       let b = fresh_barrier env in
-      let candidates = Pred.lookup pred (args_of pattern) in
+      let call_args = args_of pattern in
+      let candidates = Pred.lookup pred call_args in
       let h = if env.profiling then Some (prof env sub.s_pred) else None in
       with_cut_catch env b (fun () ->
           List.iter
             (fun clause ->
-              let m = Trail.mark env.trail in
-              env.stats.st_resolutions <- env.stats.st_resolutions + 1;
-              (match h with Some h -> Counter.incr h.resolutions | None -> ());
-              let head, body = Term.copy2 clause.Pred.head clause.Pred.body in
-              if Unify.unify env.trail pattern head then
-                solve ev ~det:false ~owner:sub ~template:pattern ~delays:[] ~barrier:b [ body ];
-              Trail.undo_to env.trail m)
+              if not (Pred.clashes call_args clause) then begin
+                let m = Trail.mark env.trail in
+                env.stats.st_resolutions <- env.stats.st_resolutions + 1;
+                (match h with Some h -> Counter.incr h.resolutions | None -> ());
+                let head, body = Pred.renamed clause in
+                if Unify.unify env.trail pattern head then
+                  solve ev ~det:false ~owner:sub ~template:pattern ~delays:[] ~barrier:b [ body ];
+                Trail.undo_to env.trail m
+              end)
             candidates)
   | Drain consumer ->
       let store = consumer.c_table.s_store in

@@ -39,6 +39,16 @@ let unify ?(occurs_check = false) trail t u =
   if not ok then Trail.undo_to trail m;
   ok
 
+let clash t u =
+  match (deref t, deref u) with
+  | Var _, _ | _, Var _ -> false
+  | Atom a, Atom b -> not (String.equal a b)
+  | Int i, Int j -> not (Int.equal i j)
+  | Float x, Float y -> not (Float.equal x y)
+  | Struct (f, args), Struct (g, brgs) ->
+      Array.length args <> Array.length brgs || not (String.equal f g)
+  | _ -> true
+
 (* Variant check by parallel traversal with a consistent variable pairing. *)
 let variant t u =
   let left = Hashtbl.create 8 and right = Hashtbl.create 8 in

@@ -6,6 +6,11 @@ val unify : ?occurs_check:bool -> Trail.t -> Term.t -> Term.t -> bool
     this call are undone. [occurs_check] defaults to [false], as in the
     WAM. *)
 
+val clash : Term.t -> Term.t -> bool
+(** True when both terms are bound and their outer symbols differ (atom,
+    number, or functor name and arity), so they cannot unify. Looks at
+    the outer symbol only and allocates nothing. *)
+
 val variant : Term.t -> Term.t -> bool
 (** True when the two terms are equal up to a renaming of variables. Does
     not bind anything. *)

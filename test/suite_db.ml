@@ -181,12 +181,32 @@ let cases =
         let bytes_per_fact = float_of_int (words * (Sys.word_size / 8)) /. float_of_int n in
         if bytes_per_fact > 260.0 then
           Alcotest.failf "%.1f B per fact, over the 260 B bound" bytes_per_fact);
+    t "an index built on demand costs at most 160 B per fact/2 clause" `Quick (fun () ->
+        let db = fresh () in
+        let pred = Database.set_dynamic db "fact" 2 in
+        let n = 20_000 in
+        for i = 1 to n do
+          ignore (Database.add_clause db (Term.Struct ("fact", [| Term.Int i; Term.Int (7 * i) |])))
+        done;
+        let before = Obj.reachable_words (Obj.repr pred) in
+        check_int "fact(_,70) through the second argument" 1
+          (List.length (Pred.lookup pred [| Term.fresh_var (); Term.Int 70 |]));
+        check_bool "an index on argument 2 was built" true
+          (Pred.hash_index_fields pred = [ [ 1 ]; [ 2 ] ]);
+        let words = Obj.reachable_words (Obj.repr pred) - before in
+        let bytes_per_clause = float_of_int (words * (Sys.word_size / 8)) /. float_of_int n in
+        if bytes_per_clause > 160.0 then
+          Alcotest.failf "%.1f B per clause, over the 160 B bound" bytes_per_clause);
   ]
 
 (* The clause store against a list model: [asserta] prepends with id
    -1, -2, ..., [assertz] appends with id 0, 1, ..., and [remove] drops
    the clause with the removed clause's id. Heads are p(K, N): K is 0..3
-   or an unbound variable, N numbers the insertion. *)
+   or an unbound variable, N numbers the insertion, except that every
+   seventh clause has an unbound N (the model and the view record -1).
+   Lookups p(_,N) bind only the second argument, which has no declared
+   index: past the clause threshold they go through an index built on
+   demand. *)
 type store_op = Asserta of int option | Assertz of int option | Remove of int
 
 let store_op_gen =
@@ -226,6 +246,34 @@ let store_matches_model ops =
     || QCheck2.Test.fail_reportf "%s: got %d clauses, the model %d" what (List.length got)
          (List.length want)
   in
+  let rec subseq got model =
+    match (got, model) with
+    | [], _ -> true
+    | _, [] -> false
+    | g :: gs, m :: ms -> if g = m then subseq gs ms else subseq got ms
+  in
+  let check_second_arg () =
+    let n = Array.length !seen in
+    List.for_all
+      (fun b ->
+        let got = view (Pred.lookup pred [| Term.fresh_var (); Term.Int b |]) in
+        let want = List.filter (fun (_, _, m) -> m = -1 || m = b) !model in
+        let built = List.mem [ 2 ] (Pred.hash_index_fields pred) in
+        (subseq got !model
+        || QCheck2.Test.fail_reportf "lookup p(_,%d) is not in clause order" b)
+        && List.for_all
+             (fun m -> List.mem m got
+               || QCheck2.Test.fail_reportf "lookup p(_,%d) misses a clause" b)
+             want
+        && (built || Pred.clause_count pred <= Pred.demand_index_min_clauses
+           || QCheck2.Test.fail_reportf "no index on argument 2 past %d clauses"
+                Pred.demand_index_min_clauses)
+        (* the index keys on integers, so its candidates are exactly the
+           clauses that unify *)
+        && ((not built) || agree (Printf.sprintf "indexed lookup p(_,%d)" b) got want)
+        && Pred.index_spec pred = Pred.Fields [ [ 1 ] ])
+      [ 0; n / 2; n - 1; n + 5 ]
+  in
   let check_lookups () =
     agree "clauses" (view (Pred.clauses pred)) !model
     && Pred.clause_count pred = List.length !model
@@ -236,12 +284,6 @@ let store_matches_model ops =
          (fun b ->
            let got = view (Pred.lookup pred [| Term.Int b; Term.fresh_var () |]) in
            (* in model order: [got] is a subsequence of the model *)
-           let rec subseq got model =
-             match (got, model) with
-             | [], _ -> true
-             | _, [] -> false
-             | g :: gs, m :: ms -> if g = m then subseq gs ms else subseq got ms
-           in
            let unifies (_, k, _) = k = None || k = Some b in
            (subseq got !model
            || QCheck2.Test.fail_reportf "lookup p(%d,_) is not in clause order" b)
@@ -250,22 +292,25 @@ let store_matches_model ops =
                   || QCheck2.Test.fail_reportf "lookup p(%d,_) misses a clause" b)
                 !model)
          [ 0; 1; 2; 3; 4 ]
+    && check_second_arg ()
   in
   List.for_all
     (fun op ->
       let n = Array.length !seen in
+      let n' = if n mod 7 = 6 then -1 else n in
       let head k =
-        Term.Struct ("p", [| Option.fold ~none:(Term.fresh_var ()) ~some:Term.int k; Term.Int n |])
+        let arg = function None -> Term.fresh_var () | Some i -> Term.Int i in
+        Term.Struct ("p", [| arg k; arg (if n' < 0 then None else Some n) |])
       in
       (match op with
       | Asserta k ->
           let c = Pred.asserta pred ~head:(head k) ~body:(Term.Atom "true") in
-          model := (!front, k, n) :: !model;
+          model := (!front, k, n') :: !model;
           decr front;
           seen := Array.append !seen [| c |]
       | Assertz k ->
           let c = Pred.assertz pred ~head:(head k) ~body:(Term.Atom "true") in
-          model := !model @ [ (!back, k, n) ];
+          model := !model @ [ (!back, k, n') ];
           incr back;
           seen := Array.append !seen [| c |]
       | Remove j ->
@@ -286,6 +331,9 @@ let props =
       store_matches_model;
   ]
 
+(* seed 20 unless QCHECK_SEED names another, as CI's seed matrix does *)
+let seed = Option.fold ~none:20 ~some:int_of_string (Sys.getenv_opt "QCHECK_SEED")
+
 let suite =
   cases
-  @ List.map (QCheck_alcotest.to_alcotest ~long:false ~rand:(Random.State.make [| 20 |])) props
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false ~rand:(Random.State.make [| seed |])) props

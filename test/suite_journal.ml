@@ -1299,7 +1299,55 @@ let retract_replay_cases =
             J.close j2));
   ]
 
+(* --- an index built on demand is derived state --- *)
+
+let demand_index_cases =
+  [
+    t "an index built on demand is not declared, journaled, snapshotted or saved" `Quick
+      (fun () ->
+        (* the same program and writes twice; in the second run a call
+           bound only on par/2's second argument builds an index on it *)
+        let program =
+          ":- dynamic par/2.\n"
+          ^ String.concat "" (List.init 12 (fun k -> Printf.sprintf "par(%d,%d).\n" k (k / 2)))
+        in
+        let slurp path = In_channel.with_open_bin path In_channel.input_all in
+        let run ~probe dir =
+          let s = Xsb.Session.create () in
+          let db = Xsb.Session.db s in
+          let j = J.open_ { (J.default_config ~dir) with J.sync = J.Never } db in
+          J.attach j;
+          Xsb.Session.consult s program;
+          if probe then check_int "par(X,3)" 2 (Xsb.Session.count s "par(X,3)");
+          ignore (Xsb.Session.query s "assertz(par(20,3)), asserta(par(21,3)), retract(par(7,3))");
+          let par = Option.get (Xsb.Database.find db "par" 2) in
+          check_bool "index_spec reports only the declared index" true
+            (Xsb.Pred.index_spec par = Xsb.Pred.Fields [ [ 1 ] ]);
+          Alcotest.(check (list (list int)))
+            "hash indexes in use"
+            (if probe then [ [ 1 ]; [ 2 ] ] else [ [ 1 ] ])
+            (Xsb.Pred.hash_index_fields par);
+          let journal = slurp (Filename.concat dir "journal.log") in
+          J.compact j;
+          let snapshot = slurp (Filename.concat dir "snapshot.bin") in
+          let image = Xsb.Obj_file.to_string db in
+          J.close j;
+          let db2 = Xsb.Database.create () in
+          let j2 = J.open_ (J.default_config ~dir) db2 in
+          check_string "recovered = live" (fingerprint db) (fingerprint db2);
+          J.close j2;
+          (journal, snapshot, image)
+        in
+        with_dir (fun plain ->
+            with_dir (fun probed ->
+                let journal, snapshot, image = run ~probe:false plain in
+                let journal', snapshot', image' = run ~probe:true probed in
+                check_bool "journal bytes identical" true (String.equal journal journal');
+                check_bool "snapshot bytes identical" true (String.equal snapshot snapshot');
+                check_bool "object image bytes identical" true (String.equal image image'))));
+  ]
+
 let suite =
   codec_cases @ lifecycle_cases @ failpoint_cases @ property_cases @ group_cases
   @ group_property_cases @ archive_cases @ remove_pred_cases @ retry_cases @ server_cases
-  @ incremental_server_cases @ epoch_cases @ retract_replay_cases
+  @ incremental_server_cases @ epoch_cases @ retract_replay_cases @ demand_index_cases

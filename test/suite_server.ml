@@ -1509,6 +1509,37 @@ let role_cases =
           [ primary; standby; { standby with fatal = None; peers = [] }; { primary with peers = standby.peers } ]);
   ]
 
+(* a transient accept error (EMFILE: out of descriptors) must not stop
+   the acceptor: the connection waits in the backlog and is served *)
+let accept_error_case =
+  t "an accept that fails with EMFILE is counted, and the server keeps accepting" `Quick
+    (fun () ->
+      with_server (fun server ->
+          Xsb.Failpoint.reset ();
+          Fun.protect ~finally:Xsb.Failpoint.reset (fun () ->
+              Xsb.Failpoint.arm "net.accept" Xsb.Failpoint.Fail;
+              let fd = raw_connect (Server.port server) in
+              Fun.protect
+                ~finally:(fun () -> Unix.close fd)
+                (fun () ->
+                  (* a dead acceptor would leave the read blocked: fail instead *)
+                  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+                  Protocol.write_request (Unix.out_channel_of_descr fd)
+                    (Protocol.request Protocol.Ping "");
+                  check_bool "pong" true
+                    (Protocol.read_reply (Unix.in_channel_of_descr fd) = Protocol.Ok_ "pong"));
+              check_int "a failed accept, then one that succeeded" 2
+                (Xsb.Failpoint.hits "net.accept");
+              match
+                Xsb.Metrics.Exposition.validate (Xsb.Metrics.to_text (Server.registry server))
+              with
+              | Ok samples ->
+                  check_bool "counted once" true
+                    (Xsb.Metrics.Exposition.find ~labels:[ ("listener", "query") ] samples
+                       "xsb_accept_errors_total"
+                    = Some 1.0)
+              | Error why -> Alcotest.failf "invalid exposition: %s" why)))
+
 let suite =
   protocol_cases @ bounded_cases @ negative_cases @ server_cases @ metrics_cases
   @ [ isolation_case; backpressure_case; shutdown_case ]
@@ -1516,3 +1547,4 @@ let suite =
   @ [ table_rows_case ~durable:false; table_rows_case ~durable:true; conditional_row_case ]
   @ [ slow_reader_case ] @ log_failure_cases @ profile_cases @ call_cases
   @ work_cases @ [ host_name_case; gate_order_case ] @ config_cases @ role_cases
+  @ [ accept_error_case ]

@@ -440,6 +440,21 @@ let extra_cases =
         ignore (Session.query s "assert(p(1)), assert(p(2))");
         check_bool "binds" true (Session.succeeds s "retract(p(X)), X =:= 1");
         check_int "one left" 1 (Session.count s "p(_)"));
+    t "retract through the second argument of a predicate indexed on demand" `Quick (fun () ->
+        let facts =
+          String.concat "" (List.init 20 (fun k -> Printf.sprintf "q(%d,%d).\n" k (k mod 3)))
+        in
+        let s = session (":- dynamic q/2.\n" ^ facts ^ "q(X,X).\n") in
+        let q = Option.get (Database.find (Session.db s) "q" 2) in
+        check_bool "past the threshold" true (Pred.clause_count q > Pred.demand_index_min_clauses);
+        (* q(1,1), q(4,1), ..., q(19,1), then the non-ground q(X,X) *)
+        check_bool "retracts in clause order" true
+          (Session.succeeds s "findall(X, retract(q(X,1)), L), L == [1,4,7,10,13,16,19,1]");
+        check_bool "the call built an index on argument 2" true
+          (List.mem [ 2 ] (Pred.hash_index_fields q));
+        check_int "the index lost the retracted clauses" 0 (Session.count s "q(_,1)");
+        check_int "and kept the others" 7 (Session.count s "q(_,0)");
+        check_int "every other clause is live" 13 (Session.count s "q(_,_)"));
     t "tabled predicates with compound answers" `Quick (fun () ->
         let s =
           session

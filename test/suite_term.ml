@@ -27,6 +27,27 @@ let cases =
         check_bool "deep" true (unify_ok "f(g(X),Y)" "f(Z,h(Z))");
         check_bool "clash" false (unify_ok "f(a,b)" "f(a,c)");
         check_bool "arity" false (unify_ok "f(a)" "f(a,b)"));
+    t "clash exactly when the outer symbols differ" `Quick (fun () ->
+        List.iter
+          (fun (a, b, want) ->
+            check_bool (a ^ " vs " ^ b) want (Unify.clash (parse a) (parse b));
+            (* a clash is a unification that must fail *)
+            if want then check_bool (a ^ " = " ^ b) false (unify_ok a b))
+          [
+            ("a", "a", false);
+            ("a", "b", true);
+            ("42", "42", false);
+            ("42", "43", true);
+            ("42", "42.0", true);
+            ("1.5", "1.5", false);
+            ("1.5", "2.5", true);
+            ("f(a)", "f(b)", false);
+            ("f(a)", "g(a)", true);
+            ("f(a)", "f(a,b)", true);
+            ("f(a)", "f", true);
+            ("X", "a", false);
+            ("f(X)", "Y", false);
+          ]);
     t "unify binds consistently" `Quick (fun () ->
         let trail = fresh_trail () in
         let x = Term.fresh_var () in

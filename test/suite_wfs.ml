@@ -189,6 +189,36 @@ let cases =
           (Residual.delay_truth g [ Machine.Dpos (c "k", c "t"); Machine.Dneg (c "u") ]);
         check_truth "false member" Ground.False
           (Residual.delay_truth g [ Machine.Dneg (c "t") ]));
+    t "a table delayed on an abandoned nested evaluation is not kept (qcheck seed 45)" `Quick
+      (fun () ->
+        (* tnot(p5) under p0 completes p5 with the conditional answer
+           p5 :- tnot(p7) in a nested evaluation, which p6 :- p0 then
+           abandons; keeping p5 read its delay on the deleted p7 as
+           false, and p5 came out true once p0 had run *)
+        let program =
+          ":- table p0/0, p5/0, p6/0, p7/0.
+           p0.
+           p0 :- tnot(p5).
+           p5 :- tnot(p7).
+           p7 :- p5, tnot(p5), tnot(p6).
+           p6 :- p0, p0.
+           p7 :- tnot(p5)."
+        in
+        let want = [ ("p0", Ground.True); ("p5", Ground.Undefined) ] in
+        List.iter
+          (fun (scheduling, sname) ->
+            List.iter
+              (fun order ->
+                let s = Session.create ~mode:Machine.Well_founded ~scheduling () in
+                Session.consult s program;
+                List.iter
+                  (fun q ->
+                    check_truth
+                      (Printf.sprintf "%s after %s (%s)" q (String.concat "," order) sname)
+                      (List.assoc q want) (truth_of s q))
+                  order)
+              [ [ "p0"; "p5" ]; [ "p5"; "p0" ] ])
+          [ (Machine.Batched, "batched"); (Machine.Local, "local") ]);
   ]
 
 let suite = cases
