@@ -704,7 +704,7 @@ let journal_bench () =
     | None -> 1.0
   in
   let edge_mut k =
-    Xsb.Journal.Add_clause
+    Xsb.Record.Add_clause
       {
         name = "edge";
         arity = 2;
@@ -827,7 +827,7 @@ let repl_bench () =
      the bench (the server binary does the same) *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let edge_mut k =
-    Xsb.Journal.Add_clause
+    Xsb.Record.Add_clause
       {
         name = "edge";
         arity = 2;

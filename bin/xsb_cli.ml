@@ -243,7 +243,7 @@ let main files goals wfs engine_name scheduling interactive stats compile trace 
       Fmt.epr "timeout: step budget exhausted@.";
       finish 2
   | Xsb.Journal.Recovery_error { file; offset; records_ok; message } ->
-      Fmt.epr "error: %s is corrupt at offset %d (%d records recoverable): %s@." file offset
+      Fmt.epr "error: cannot recover %s at offset %d (%d records recoverable): %s@." file offset
         records_ok message;
       finish 1
   | e ->

@@ -4,17 +4,6 @@
 
 let stop_requested = Atomic.make false
 
-(* [Server.start] consults the preload files in order into one session
-   and raises on the first that does not load; name it the same way *)
-let bad_preload paths =
-  let session = Xsb.Session.create () in
-  let fails path =
-    match Xsb.Session.consult_file session path with () -> false | exception _ -> true
-  in
-  match List.find_opt fails paths with
-  | Some path -> path
-  | None -> String.concat ", " paths
-
 let main host port workers queue timeout_ms max_steps max_answers preload scheduling access_log
     profile data_dir sync compact_bytes keep_generations repl_port replica_of sync_standbys
     sync_timeout_ms auto_promote promote_priority failover_timeout_ms peers slow_ms slow_log =
@@ -54,10 +43,6 @@ let main host port workers queue timeout_ms max_steps max_answers preload schedu
       slow_log = slow_channel;
     }
   in
-  let load_failed what =
-    Fmt.epr "xsb_serverd: cannot load %s: %s@." (bad_preload preload) what;
-    2
-  in
   match Xsb_server.Server.start cfg with
   | exception Unix.Unix_error (err, _, _) ->
       Fmt.epr "xsb_serverd: cannot bind %s:%d: %s@." host port (Unix.error_message err);
@@ -67,7 +52,7 @@ let main host port workers queue timeout_ms max_steps max_answers preload schedu
       2
   | exception Xsb.Journal.Recovery_error { file; offset; records_ok; message } ->
       Fmt.epr
-        "xsb_serverd: %s is corrupt at offset %d (%d records recoverable): %s@.(salvage the \
+        "xsb_serverd: cannot recover %s at offset %d (%d records recoverable): %s@.(salvage the \
          valid prefix by moving the data directory aside, or repair it offline)@."
         file offset records_ok message;
       2
@@ -77,9 +62,9 @@ let main host port workers queue timeout_ms max_steps max_answers preload schedu
   | exception Invalid_argument msg ->
       Fmt.epr "xsb_serverd: %s@." msg;
       2
-  | exception Xsb.Parser.Error (msg, pos) -> load_failed (Printf.sprintf "syntax error at %d: %s" pos msg)
-  | exception Xsb.Lexer.Error (msg, pos) -> load_failed (Printf.sprintf "lexical error at %d: %s" pos msg)
-  | exception Xsb.Loader.Load_error msg -> load_failed msg
+  | exception Xsb_server.Server.Preload_error { path; message } ->
+      Fmt.epr "xsb_serverd: cannot load %s: %s@." path message;
+      2
   | server ->
       (match Xsb_server.Server.journal server with
       | Some j ->

@@ -27,19 +27,22 @@ let pred_indicator term =
   | t -> fail "bad predicate indicator: %a" Term.pp t
 
 (* Index specifications: an integer field, [1,2,3+5]-style lists, or the
-   atoms [str] / [first_string] / [trie] for first-string indexing. *)
-let index_spec_of term =
+   atoms [str] / [first_string] / [trie] for first-string indexing. A
+   combination names one to three arguments, the most a hash index keys on. *)
+let index_spec_of arity term =
   let combo_of item =
     let rec fields t =
       match Term.deref t with
-      | Term.Int f -> [ f ]
+      | Term.Int f when f >= 1 && f <= arity -> [ f ]
       | Term.Struct ("+", [| l; r |]) -> fields l @ fields r
       | t -> fail "bad index field: %a" Term.pp t
     in
-    fields item
+    let combo = fields item in
+    if List.length combo > 3 then fail "index on more than three fields: %a" Term.pp item;
+    combo
   in
   match Term.deref term with
-  | Term.Int f -> Pred.Fields [ [ f ] ]
+  | Term.Int _ -> Pred.Fields [ combo_of term ]
   | Term.Atom ("str" | "first_string" | "trie") -> Pred.First_string_index
   | Term.Atom ("disc" | "dtree" | "disc_tree") -> Pred.Disc_tree_index
   | t -> (
@@ -95,7 +98,7 @@ let process_directive db directive =
       `Handled
   | Term.Struct ("index", [| pi; spec |]) ->
       let name, arity = pred_indicator pi in
-      Database.set_index db name arity (index_spec_of spec);
+      Database.set_index db name arity (index_spec_of arity spec);
       `Handled
   | Term.Struct ("index", [| pi; spec; size |]) ->
       let name, arity = pred_indicator pi in
@@ -104,7 +107,7 @@ let process_directive db directive =
         | Term.Int n when n > 0 -> Some n
         | t -> fail "bad index hash size: %a" Term.pp t
       in
-      Database.set_index db ?size_hint name arity (index_spec_of spec);
+      Database.set_index db ?size_hint name arity (index_spec_of arity spec);
       `Handled
   | Term.Struct ("op", [| p; f; names |]) -> (
       match (Term.deref p, Term.deref f) with

@@ -1,96 +1,26 @@
-open Xsb_term
-
 exception Bad_object_file of string
 
-(* version 03 replaces [Marshal] with an explicit binary codec (now
-   shared with the write-ahead journal, see [Codec]). The digest in the
-   header detects accidental corruption, but it is computed from the
-   payload itself, so it proves integrity, not origin: anyone can forge
-   a "valid" image (the server accepts them over CONSULT fmt=obj).
-   Unmarshalling such bytes could crash the runtime or build
-   type-confused values; the explicit decoder instead validates every
-   tag, length and count, so untrusted image bytes can at worst produce
-   a typed [Bad_object_file]. *)
-let magic = "XSBOBJ03"
-
-(* The on-disk image: everything is canonical (immutable, no variable
-   cells), so the encoding is stable. *)
-type pred_image = {
-  p_name : string;
-  p_arity : int;
-  p_dynamic : bool;
-  p_tabled : bool;
-  p_index : [ `Fields of int list list | `First_string | `Disc_tree ];
-  p_clauses : Canon.t list;  (* each is ':-'(Head, Body) *)
-}
-
-type image = pred_image list
-
-let image_of_pred pred =
-  {
-    p_name = Pred.name pred;
-    p_arity = Pred.arity pred;
-    p_dynamic = Pred.kind pred = Pred.Dynamic;
-    p_tabled = Pred.tabled pred;
-    p_index =
-      (match Pred.index_spec pred with
-      | Pred.Fields combos -> `Fields combos
-      | Pred.First_string_index -> `First_string
-      | Pred.Disc_tree_index -> `Disc_tree);
-    p_clauses =
-      List.map
-        (fun c -> Canon.of_term (Term.Struct (":-", [| c.Pred.head; c.Pred.body |])))
-        (Pred.clauses pred);
-  }
-
-let put_images b images =
-  Codec.put_u32 b (List.length images);
-  List.iter
-    (fun img ->
-      Codec.put_string b img.p_name;
-      Codec.put_u32 b img.p_arity;
-      Codec.put_bool b img.p_dynamic;
-      Codec.put_bool b img.p_tabled;
-      (match img.p_index with
-      | `Fields combos ->
-          Codec.put_u8 b 0;
-          Codec.put_u32 b (List.length combos);
-          List.iter
-            (fun combo ->
-              Codec.put_u32 b (List.length combo);
-              List.iter (Codec.put_u32 b) combo)
-            combos
-      | `First_string -> Codec.put_u8 b 1
-      | `Disc_tree -> Codec.put_u8 b 2);
-      Codec.put_u32 b (List.length img.p_clauses);
-      List.iter (Codec.put_canon b) img.p_clauses)
-    images
-
-let get_images c : image =
-  Codec.get_list c (fun c ->
-      let p_name = Codec.get_string c in
-      let p_arity = Codec.get_u32 c in
-      let p_dynamic = Codec.get_bool c in
-      let p_tabled = Codec.get_bool c in
-      let p_index =
-        match Codec.get_u8 c with
-        | 0 -> `Fields (Codec.get_list c (fun c -> Codec.get_list c Codec.get_u32))
-        | 1 -> `First_string
-        | 2 -> `Disc_tree
-        | _ -> Codec.decode_error "bad index tag"
-      in
-      let p_clauses = Codec.get_list c Codec.get_canon in
-      { p_name; p_arity; p_dynamic; p_tabled; p_index; p_clauses })
+(* Version 04: the payload is a count and that many mutation records
+   ({!Record}), the journal's own codec, so one decoder serves images,
+   snapshots, the journal and replication. The digest in the header
+   detects accidental corruption, but it is computed from the payload
+   itself, so it proves integrity, not origin: anyone can forge a
+   "valid" image (the server accepts them over CONSULT fmt=obj). The
+   record decoder validates every tag, length and count, so untrusted
+   image bytes can at worst produce a typed [Bad_object_file]. *)
+let magic = "XSBOBJ04"
 
 let image_bytes db keys =
-  let images =
-    List.filter_map
-      (fun (name, arity) -> Option.map image_of_pred (Database.find db name arity))
+  let records =
+    List.concat_map
+      (fun (name, arity) ->
+        match Database.find db name arity with Some p -> Record.of_pred p | None -> [])
       keys
   in
   let payload =
     let b = Buffer.create 4096 in
-    put_images b images;
+    Codec.put_u32 b (List.length records);
+    List.iter (Record.put b) records;
     Buffer.contents b
   in
   let b = Buffer.create (String.length payload + 32) in
@@ -100,22 +30,36 @@ let image_bytes db keys =
   Buffer.add_string b payload;
   Buffer.contents b
 
-let to_string db =
-  let keys = List.map (fun p -> (Pred.name p, Pred.arity p)) (Database.preds db) in
-  image_bytes db keys
-
 let save db keys path =
-  let bytes = image_bytes db keys in
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc bytes)
+  Out_channel.with_open_bin path (fun oc -> output_string oc (image_bytes db keys))
 
 let save_all db path =
-  let keys = List.map (fun p -> (Pred.name p, Pred.arity p)) (Database.preds db) in
-  save db keys path
+  save db (List.map (fun p -> (Pred.name p, Pred.arity p)) (Database.preds db)) path
 
 (* 256 MiB: far above any real image, far below an allocation that a
    corrupt length field could use to take the process down *)
 let max_payload = 256 * 1024 * 1024
+
+(* The [Set_table_mode] that {!Database.set_table_mode} would refuse,
+   found before anything is applied: a predicate's mode is the
+   database's until the stream removes it, then the stream's own. *)
+let check_table_modes db records =
+  let modes = Hashtbl.create 16 in
+  List.iter
+    (function
+      | Record.Remove_pred { name; arity } -> Hashtbl.replace modes (name, arity) Pred.Variant
+      | Record.Set_table_mode { name; arity; mode } ->
+          let existing =
+            match (Hashtbl.find_opt modes (name, arity), Database.find db name arity) with
+            | Some m, _ -> m
+            | None, p -> Option.fold ~none:Pred.Variant ~some:Pred.table_mode p
+          in
+          if existing <> mode && existing <> Pred.Variant then
+            raise
+              (Bad_object_file (Printf.sprintf "conflicting table modes for %s/%d" name arity));
+          Hashtbl.replace modes (name, arity) mode
+      | _ -> ())
+    records
 
 let load_string db image_bytes =
   let fail msg = raise (Bad_object_file msg) in
@@ -124,57 +68,31 @@ let load_string db image_bytes =
   if total < magic_len then fail "truncated header";
   if String.sub image_bytes 0 magic_len <> magic then fail "bad magic header";
   if total < magic_len + 4 + 16 then fail "truncated header";
-  let len =
-    let b i = Char.code image_bytes.[magic_len + i] in
-    (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
-  in
-  if len < 0 || len > max_payload then fail "implausible payload length";
+  let len = Int32.to_int (String.get_int32_be image_bytes magic_len) land 0xffffffff in
+  if len > max_payload then fail "implausible payload length";
   if total < magic_len + 4 + 16 + len then fail "truncated payload";
   let digest = String.sub image_bytes (magic_len + 4) 16 in
   let payload = String.sub image_bytes (magic_len + 4 + 16) len in
   if not (Digest.equal (Digest.string payload) digest) then fail "payload digest mismatch";
-  let images : image =
-    (* the digest above only proves the payload matches its own
-       checksum — it can be forged, so the decoder must (and does)
-       validate the structure itself *)
+  (* every record is decoded and checked before any is applied, so an
+     image that is refused leaves the database as it was *)
+  let records =
     try
       let c = Codec.cursor payload in
-      let images = get_images c in
+      let records = Codec.get_list c Record.get in
       if c.Codec.pos <> String.length payload then fail "trailing bytes after image";
-      images
+      records
     with Codec.Decode_error msg -> fail msg
   in
-  let count = ref 0 in
-  List.iter
-    (fun img ->
-      Database.remove_pred db img.p_name img.p_arity;
-      let kind = if img.p_dynamic then Pred.Dynamic else Pred.Static in
-      let pred = Database.declare db ~kind img.p_name img.p_arity in
-      if img.p_tabled then Database.set_tabled db img.p_name img.p_arity;
-      (match img.p_index with
-      | `Fields combos -> Database.set_index db img.p_name img.p_arity (Pred.Fields combos)
-      | `First_string -> Database.set_index db img.p_name img.p_arity Pred.First_string_index
-      | `Disc_tree -> Database.set_index db img.p_name img.p_arity Pred.Disc_tree_index);
-      List.iter
-        (fun canon ->
-          match Term.deref (Canon.to_term canon) with
-          | Term.Struct (":-", [| head; body |]) ->
-              ignore (Database.insert_clause db pred ~head ~body);
-              incr count
-          | _ -> raise (Bad_object_file "corrupt clause"))
-        img.p_clauses)
-    images;
-  !count
+  check_table_modes db records;
+  List.fold_left
+    (fun n r ->
+      Record.apply db r;
+      match r with Record.Add_clause _ -> n + 1 | _ -> n)
+    0 records
 
 let load db path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      if len > max_payload + 1024 then raise (Bad_object_file "implausible file size");
-      let image_bytes =
-        try really_input_string ic len
-        with End_of_file -> raise (Bad_object_file "truncated file")
-      in
-      load_string db image_bytes)
+  In_channel.with_open_bin path (fun ic ->
+      if In_channel.length ic > Int64.of_int (max_payload + 1024) then
+        raise (Bad_object_file "implausible file size");
+      load_string db (In_channel.input_all ic))

@@ -120,7 +120,8 @@ let rebuild_indexes t ?size_hint () =
       t.hash_indexes <-
         List.filter_map
           (fun combo ->
-            if List.for_all (fun f -> f >= 1 && f <= t.arity) combo && combo <> [] then
+            let n = List.length combo in
+            if n >= 1 && n <= 3 && List.for_all (fun f -> f >= 1 && f <= t.arity) combo then
               Some (Arg_hash.create ?size_hint combo)
             else None)
           combos;

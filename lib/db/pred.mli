@@ -59,7 +59,9 @@ val set_table_mode : t -> table_mode -> unit
 
 val set_index : t -> ?size_hint:int -> index_spec -> unit
 (** Declare the indexing for this predicate; existing clauses are
-    re-indexed. The default is a hash index on the first argument. *)
+    re-indexed. The default is a hash index on the first argument. A
+    combination of more than three fields, or with a field outside
+    [1..arity], is kept in {!index_spec} but builds no index. *)
 
 val index_spec : t -> index_spec
 

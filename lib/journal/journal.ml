@@ -1,4 +1,3 @@
-open Xsb_term
 open Xsb_db
 
 (* ---------- sync policies ---------- *)
@@ -58,279 +57,17 @@ let sync_policy_to_string = function
 
 (* ---------- mutation records ---------- *)
 
-type mutation =
-  | Add_clause of {
-      name : string;
-      arity : int;
-      front : bool;
-      dynamic : bool;
-      clause : Canon.t;
-    }
-  | Retract_clause of { name : string; arity : int; clause : Canon.t }
-  | Remove_pred of { name : string; arity : int }
-  | Set_tabled of { name : string; arity : int }
-  | Set_table_mode of { name : string; arity : int; mode : Pred.table_mode }
-  | Set_dynamic of { name : string; arity : int }
-  | Set_index of {
-      name : string;
-      arity : int;
-      spec : Pred.index_spec;
-      size_hint : int option;
-    }
-  | Declare_hilog of string
-  | Declare_module of { module_name : string; exports : (string * int) list }
-  | Declare_op of { priority : int; fixity : string; op_name : string }
-  | Load_image of string
+(* the records and their codec live in [Record]; the journal frames them *)
+type mutation = Record.t
 
-exception Corrupt_record of string
+exception Corrupt_record = Record.Corrupt_record
 
-let clause_canon (c : Pred.clause) =
-  Canon.of_term (Term.Struct (":-", [| c.Pred.head; c.Pred.body |]))
-
-let of_db_mutation : Database.mutation -> mutation = function
-  | Database.Added_clause { pred; clause; front } ->
-      Add_clause
-        {
-          name = Pred.name pred;
-          arity = Pred.arity pred;
-          front;
-          dynamic = Pred.kind pred = Pred.Dynamic;
-          clause = clause_canon clause;
-        }
-  | Database.Retracted_clause { pred; clause } ->
-      Retract_clause
-        { name = Pred.name pred; arity = Pred.arity pred; clause = clause_canon clause }
-  | Database.Removed_pred { name; arity } -> Remove_pred { name; arity }
-  | Database.Tabled_pred { name; arity } -> Set_tabled { name; arity }
-  | Database.Table_mode_pred { name; arity; mode } -> Set_table_mode { name; arity; mode }
-  | Database.Dynamic_pred { name; arity } -> Set_dynamic { name; arity }
-  | Database.Indexed_pred { name; arity; spec; size_hint } ->
-      Set_index { name; arity; spec; size_hint }
-  | Database.Hilog_symbol name -> Declare_hilog name
-  | Database.Module_decl { Database.module_name; exports } ->
-      Declare_module { module_name; exports }
-  | Database.Op_decl { priority; fixity; op_name } ->
-      Declare_op { priority; fixity = Xsb_parse.Ops.fixity_to_string fixity; op_name }
-
-(* Replay. The records carry post-encoding clauses, so nothing here
-   re-runs HiLog encoding: the database ends up byte-identical to the
-   one that produced the stream. Retractions and removals of
-   already-gone targets are no-ops, keeping replay deterministic. *)
-let apply_mutation db = function
-  | Add_clause { name; arity; front; dynamic; clause } -> (
-      let kind = if dynamic then Pred.Dynamic else Pred.Static in
-      let pred = Database.declare db ~kind name arity in
-      if dynamic && Pred.kind pred <> Pred.Dynamic then Pred.set_kind pred Pred.Dynamic;
-      match Term.deref (Canon.to_term clause) with
-      | Term.Struct (":-", [| head; body |]) ->
-          ignore (Database.insert_clause db ~front pred ~head ~body)
-      | _ -> raise (Corrupt_record "clause record is not a ':-'/2 term"))
-  | Retract_clause { name; arity; clause } -> (
-      match Database.find db name arity with
-      | None -> ()
-      | Some pred -> (
-          (* the index narrows the candidates to a superset of the clauses
-             whose head unifies with the record's, in clause order *)
-          let args =
-            match Term.deref (Canon.to_term clause) with
-            | Term.Struct (":-", [| head; _ |]) -> (
-                match Term.deref head with Term.Struct (_, args) -> args | _ -> [||])
-            | _ -> [||]
-          in
-          let same c = Canon.equal (clause_canon c) clause in
-          match List.find_opt same (Pred.lookup pred args) with
-          | Some c -> Database.retract_clause db pred c
-          | None -> ()))
-  | Remove_pred { name; arity } -> Database.remove_pred db name arity
-  | Set_tabled { name; arity } -> Database.set_tabled db name arity
-  | Set_table_mode { name; arity; mode } -> Database.set_table_mode db name arity mode
-  | Set_dynamic { name; arity } -> ignore (Database.set_dynamic db name arity)
-  | Set_index { name; arity; spec; size_hint } ->
-      Database.set_index db ?size_hint name arity spec
-  | Declare_hilog name -> Database.declare_hilog db name
-  | Declare_module { module_name; exports } -> Database.declare_module db module_name exports
-  | Declare_op { priority; fixity; op_name } -> (
-      match Xsb_parse.Ops.fixity_of_string fixity with
-      | Some f -> Database.add_op db priority f op_name
-      | None -> raise (Corrupt_record ("bad operator fixity " ^ fixity)))
-  | Load_image image -> ignore (Obj_file.load_string db image)
-
-(* ---------- the record codec ---------- *)
-
-let put_index_spec b spec size_hint =
-  (match spec with
-  | Pred.Fields combos ->
-      Codec.put_u8 b 0;
-      Codec.put_u32 b (List.length combos);
-      List.iter
-        (fun combo ->
-          Codec.put_u32 b (List.length combo);
-          List.iter (Codec.put_u32 b) combo)
-        combos
-  | Pred.First_string_index -> Codec.put_u8 b 1
-  | Pred.Disc_tree_index -> Codec.put_u8 b 2);
-  match size_hint with
-  | None -> Codec.put_bool b false
-  | Some n ->
-      Codec.put_bool b true;
-      Codec.put_u32 b n
-
-let get_index_spec c =
-  let spec =
-    match Codec.get_u8 c with
-    | 0 -> Pred.Fields (Codec.get_list c (fun c -> Codec.get_list c Codec.get_u32))
-    | 1 -> Pred.First_string_index
-    | 2 -> Pred.Disc_tree_index
-    | _ -> Codec.decode_error "bad index tag"
-  in
-  let size_hint = if Codec.get_bool c then Some (Codec.get_u32 c) else None in
-  (spec, size_hint)
-
-let table_mode_tag = function
-  | Pred.Variant -> 0
-  | Pred.Incremental -> 1
-  | Pred.Subsumptive op -> (
-      match op with
-      | Xsb_index.Answer_store.Subsumption.Min -> 2
-      | Max -> 3
-      | Sum -> 4
-      | Count -> 5
-      | First -> 6)
-  | Pred.Subsumption -> 7
-
-let table_mode_of_tag = function
-  | 0 -> Pred.Variant
-  | 1 -> Pred.Incremental
-  | 2 -> Pred.Subsumptive Xsb_index.Answer_store.Subsumption.Min
-  | 3 -> Pred.Subsumptive Max
-  | 4 -> Pred.Subsumptive Sum
-  | 5 -> Pred.Subsumptive Count
-  | 6 -> Pred.Subsumptive First
-  | 7 -> Pred.Subsumption
-  | _ -> Codec.decode_error "bad table mode tag"
-
-let encode_mutation m =
-  let b = Buffer.create 64 in
-  (match m with
-  | Add_clause { name; arity; front; dynamic; clause } ->
-      Codec.put_u8 b 0;
-      Codec.put_string b name;
-      Codec.put_u32 b arity;
-      Codec.put_bool b front;
-      Codec.put_bool b dynamic;
-      Codec.put_canon b clause
-  | Retract_clause { name; arity; clause } ->
-      Codec.put_u8 b 1;
-      Codec.put_string b name;
-      Codec.put_u32 b arity;
-      Codec.put_canon b clause
-  | Remove_pred { name; arity } ->
-      Codec.put_u8 b 2;
-      Codec.put_string b name;
-      Codec.put_u32 b arity
-  | Set_tabled { name; arity } ->
-      Codec.put_u8 b 3;
-      Codec.put_string b name;
-      Codec.put_u32 b arity
-  | Set_dynamic { name; arity } ->
-      Codec.put_u8 b 4;
-      Codec.put_string b name;
-      Codec.put_u32 b arity
-  | Set_index { name; arity; spec; size_hint } ->
-      Codec.put_u8 b 5;
-      Codec.put_string b name;
-      Codec.put_u32 b arity;
-      put_index_spec b spec size_hint
-  | Declare_hilog name ->
-      Codec.put_u8 b 6;
-      Codec.put_string b name
-  | Declare_module { module_name; exports } ->
-      Codec.put_u8 b 7;
-      Codec.put_string b module_name;
-      Codec.put_u32 b (List.length exports);
-      List.iter
-        (fun (n, a) ->
-          Codec.put_string b n;
-          Codec.put_u32 b a)
-        exports
-  | Declare_op { priority; fixity; op_name } ->
-      Codec.put_u8 b 8;
-      Codec.put_u32 b priority;
-      Codec.put_string b fixity;
-      Codec.put_string b op_name
-  | Load_image image ->
-      Codec.put_u8 b 9;
-      Codec.put_string b image
-  | Set_table_mode { name; arity; mode } ->
-      Codec.put_u8 b 10;
-      Codec.put_string b name;
-      Codec.put_u32 b arity;
-      Codec.put_u8 b (table_mode_tag mode));
-  Buffer.contents b
-
-let decode_mutation payload =
-  try
-    let c = Codec.cursor payload in
-    let name_arity () =
-      let name = Codec.get_string c in
-      let arity = Codec.get_u32 c in
-      (name, arity)
-    in
-    let m =
-      match Codec.get_u8 c with
-      | 0 ->
-          let name, arity = name_arity () in
-          let front = Codec.get_bool c in
-          let dynamic = Codec.get_bool c in
-          let clause = Codec.get_canon c in
-          Add_clause { name; arity; front; dynamic; clause }
-      | 1 ->
-          let name, arity = name_arity () in
-          let clause = Codec.get_canon c in
-          Retract_clause { name; arity; clause }
-      | 2 ->
-          let name, arity = name_arity () in
-          Remove_pred { name; arity }
-      | 3 ->
-          let name, arity = name_arity () in
-          Set_tabled { name; arity }
-      | 4 ->
-          let name, arity = name_arity () in
-          Set_dynamic { name; arity }
-      | 5 ->
-          let name, arity = name_arity () in
-          let spec, size_hint = get_index_spec c in
-          Set_index { name; arity; spec; size_hint }
-      | 6 -> Declare_hilog (Codec.get_string c)
-      | 7 ->
-          let module_name = Codec.get_string c in
-          let exports =
-            Codec.get_list c (fun c ->
-                let n = Codec.get_string c in
-                let a = Codec.get_u32 c in
-                (n, a))
-          in
-          Declare_module { module_name; exports }
-      | 8 ->
-          let priority = Codec.get_u32 c in
-          let fixity = Codec.get_string c in
-          let op_name = Codec.get_string c in
-          Declare_op { priority; fixity; op_name }
-      | 9 -> Load_image (Codec.get_string c)
-      | 10 ->
-          let name, arity = name_arity () in
-          let mode = table_mode_of_tag (Codec.get_u8 c) in
-          Set_table_mode { name; arity; mode }
-      | _ -> Codec.decode_error "bad record tag"
-    in
-    if c.Codec.pos <> String.length payload then
-      Codec.decode_error "trailing bytes after record";
-    m
-  with Codec.Decode_error msg -> raise (Corrupt_record msg)
+let apply_mutation = Record.apply
 
 (* ---------- framing ---------- *)
 
-(* must fit any snapshot image record: Obj_file.max_payload + headroom *)
+(* a bound on one record (one clause), far below an allocation that a
+   corrupt length field could use to take the process down *)
 let max_record = (256 * 1024 * 1024) + 4096
 
 let frame payload =
@@ -340,7 +77,7 @@ let frame payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
-let frame_record m = frame (encode_mutation m)
+let frame_record m = frame (Record.encode m)
 
 type read_result =
   | Record of mutation * int
@@ -367,7 +104,7 @@ let read_framed buf pos =
            with valid data after it cannot be *)
         if pos + 8 + rlen = len then End_torn else Corrupt "record checksum mismatch"
       else
-        match decode_mutation payload with
+        match Record.decode payload with
         | m -> Record (m, pos + 8 + rlen)
         | exception Corrupt_record msg -> Corrupt msg
 
@@ -385,7 +122,7 @@ let scan buf start =
 (* ---------- file headers ---------- *)
 
 let journal_magic = "XSBJNL02"
-let snapshot_magic = "XSBSNP02"
+let snapshot_magic = "XSBSNP03"
 let header_len = 24
 
 (* magic (8) | generation (i64 BE) | epoch (i64 BE). The epoch is the
@@ -399,6 +136,25 @@ let header magic gen epoch =
   Buffer.contents b
 
 let header_epoch buf = String.get_int64_be buf 16
+
+exception Recovery_error of {
+  file : string;
+  offset : int;
+  records_ok : int;
+  message : string;
+}
+
+(* a file of the data directory must start with [magic]; another
+   version of the same format (its first six bytes agree) is refused by
+   name, since no reader for it is kept *)
+let check_header ~magic path buf =
+  let fail message = raise (Recovery_error { file = path; offset = 0; records_ok = 0; message }) in
+  let found = String.sub buf 0 (min 8 (String.length buf)) in
+  if found <> magic then
+    if String.length found = 8 && String.sub found 0 6 = String.sub magic 0 6 then
+      fail (Printf.sprintf "unsupported format %s (this version reads %s)" found magic)
+    else fail (Printf.sprintf "bad header: not a %s file" magic);
+  if String.length buf < header_len then fail "truncated header"
 
 (* ---------- the journal ---------- *)
 
@@ -469,13 +225,6 @@ type t = {
 }
 
 exception Io_error of { site : string; message : string }
-
-exception Recovery_error of {
-  file : string;
-  offset : int;
-  records_ok : int;
-  message : string;
-}
 
 let io_error site message = raise (Io_error { site; message })
 
@@ -726,11 +475,10 @@ let open_common ~replay ~tolerate_corruption cfg db =
   let apply_all file records =
     List.iteri
       (fun i m ->
-        (match m with Declare_op _ -> op_decls := m :: !op_decls | _ -> ());
+        (match m with Record.Declare_op _ -> op_decls := m :: !op_decls | _ -> ());
         if replay then
-          try apply_mutation db m with
-          | Corrupt_record msg | Obj_file.Bad_object_file msg ->
-              recovery_error file (-1) i ("record failed to apply: " ^ msg))
+          try Record.apply db m
+          with Corrupt_record msg -> recovery_error file (-1) i ("record failed to apply: " ^ msg))
       records;
     if replay then stats.recovered_records <- stats.recovered_records + List.length records
   in
@@ -742,8 +490,7 @@ let open_common ~replay ~tolerate_corruption cfg db =
     match read_file spath with
     | None -> (0L, 1L)
     | Some buf ->
-        if String.length buf < header_len || String.sub buf 0 8 <> snapshot_magic then
-          recovery_error spath 0 0 "bad snapshot header";
+        check_header ~magic:snapshot_magic spath buf;
         let gen = String.get_int64_be buf 8 in
         let records, end_pos, status = scan buf header_len in
         (match status with
@@ -766,8 +513,7 @@ let open_common ~replay ~tolerate_corruption cfg db =
         let g = Int64.add snap_gen 1L in
         (g, snap_epoch, create_journal_file jpath g snap_epoch, header_len)
     | Some buf ->
-        if String.sub buf 0 8 <> journal_magic then
-          recovery_error jpath 0 0 "bad journal magic";
+        check_header ~magic:journal_magic jpath buf;
         let g = String.get_int64_be buf 8 in
         let e =
           let je = header_epoch buf in
@@ -853,26 +599,19 @@ let resume ?(tolerate_corruption = false) cfg db =
 (* ---------- appending ---------- *)
 
 (* everything reachable from the database right now, as one snapshot
-   record stream: declarations the object-file image cannot carry, then
-   the image itself *)
+   record stream: the records that rebuild each predicate, then the
+   HiLog, module and operator declarations. The declarations come last
+   because rebuilding a predicate starts by removing it, which drops a
+   HiLog declaration no other predicate of that name still uses. *)
 let snapshot_records j =
-  List.map (fun s -> Declare_hilog s) (Database.hilog_symbols j.db)
+  List.concat_map Record.of_pred (Database.preds j.db)
+  @ List.map (fun s -> Record.Declare_hilog s) (Database.hilog_symbols j.db)
   @ List.map
       (fun (m : Database.module_info) ->
-        Declare_module { module_name = m.Database.module_name; exports = m.Database.exports })
+        Record.Declare_module
+          { module_name = m.Database.module_name; exports = m.Database.exports })
       (Database.modules j.db)
   @ List.rev j.op_decls
-  @ [ Load_image (Obj_file.to_string j.db) ]
-  (* tabling modes ride as records after the image: the object-file
-     format carries only the tabled flag, and modes are enumerable from
-     the predicate registry (unlike op declarations) *)
-  @ List.filter_map
-      (fun p ->
-        match Pred.table_mode p with
-        | Pred.Variant -> None
-        | mode ->
-            Some (Set_table_mode { name = Pred.name p; arity = Pred.arity p; mode }))
-      (Database.preds j.db)
 
 (* ---------- generation archives ---------- *)
 
@@ -966,7 +705,7 @@ let compact_locked j =
   if archive && j.written > j.synced then do_sync j;
   let b = Buffer.create 65536 in
   Buffer.add_string b (header snapshot_magic j.generation j.epoch);
-  List.iter (fun m -> Buffer.add_string b (frame (encode_mutation m))) (snapshot_records j);
+  List.iter (fun m -> Buffer.add_string b (frame_record m)) (snapshot_records j);
   let next = Int64.add j.generation 1L in
   rotate j.cfg ~poison:(mark_failed j) ~archive ~gen:j.generation
     ~sites:
@@ -1004,12 +743,12 @@ let append_k j ~wait ms =
   match ms with
   | [] -> ()
   | ms ->
-      let bytes = String.concat "" (List.map (fun m -> frame (encode_mutation m)) ms) in
+      let bytes = String.concat "" (List.map frame_record ms) in
       let n = List.length ms in
       with_lock j @@ fun () ->
       guard_usable j;
       List.iter
-        (fun m -> match m with Declare_op _ -> j.op_decls <- m :: j.op_decls | _ -> ())
+        (fun m -> match m with Record.Declare_op _ -> j.op_decls <- m :: j.op_decls | _ -> ())
         ms;
       write_at ~poison:(mark_failed j) "journal.append.write" j.fd bytes;
       j.written <- j.written + String.length bytes;
@@ -1080,7 +819,7 @@ let attach ?(deferred = false) j =
        failed ones keep raising so the caller can degrade explicitly.
        [deferred] skips the group-commit barrier inside the hook — the
        caller promises to call {!barrier} before acknowledging. *)
-    let record m = if not j.closed then append_k j ~wait:(not deferred) [ of_db_mutation m ] in
+    let record m = if not j.closed then append_k j ~wait:(not deferred) [ Record.of_db_mutation m ] in
     Database.on_mutation j.db record
   end
 
@@ -1345,8 +1084,7 @@ let recover_at ?(upto = max_int) ~dir ~generation:gen db =
     raise (Recovery_error { file; offset; records_ok; message })
   in
   let scan_file ~magic ~want_gen path buf =
-    if String.length buf < header_len || String.sub buf 0 8 <> magic then
-      recovery_error path 0 0 "bad file header";
+    check_header ~magic path buf;
     let g = String.get_int64_be buf 8 in
     if Int64.compare g want_gen <> 0 then
       recovery_error path 8 0
@@ -1367,7 +1105,7 @@ let recover_at ?(upto = max_int) ~dir ~generation:gen db =
     match read_file path with
     | None -> recovery_error path 0 0 (Printf.sprintf "no snapshot for generation %Ld" base)
     | Some buf ->
-        List.iter (apply_mutation db) (scan_file ~magic:snapshot_magic ~want_gen:base path buf)
+        List.iter (Record.apply db) (scan_file ~magic:snapshot_magic ~want_gen:base path buf)
   end;
   (* 2. replay the generation itself, up to the requested record *)
   let path =
@@ -1382,7 +1120,7 @@ let recover_at ?(upto = max_int) ~dir ~generation:gen db =
       List.iter
         (fun m ->
           if !applied < upto then begin
-            apply_mutation db m;
+            Record.apply db m;
             incr applied
           end)
         records;

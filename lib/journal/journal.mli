@@ -7,12 +7,14 @@
     - [journal.log] — header (magic ["XSBJNL02"] + i64 generation +
       i64 failover epoch), then CRC32-framed, length-prefixed mutation
       records: [u32 length | u32 crc32(payload) | payload]. Payloads
-      use the same validated codec as object files ([Xsb_db.Codec]) —
-      no [Marshal] anywhere on the recovery path.
-    - [snapshot.bin] — header (magic ["XSBSNP02"] + i64 covered
-      generation + i64 epoch), then the same record framing:
-      declaration records followed by one whole-database object-file
-      image.
+      are {!Xsb_db.Record}s, the codec object images use too — no
+      [Marshal] anywhere on the recovery path.
+    - [snapshot.bin] — header (magic ["XSBSNP03"] + i64 covered
+      generation + i64 epoch), then the same record framing: the
+      records that rebuild every predicate ({!Xsb_db.Record.of_pred}),
+      then the HiLog, module and operator declarations. A snapshot of
+      an older format (["XSBSNP02"]) is refused with a
+      {!Recovery_error} that names it.
     - [epochs.log] — one text line [<epoch> <gen> <off>] per retired
       epoch: the fence position where that epoch's authority ended
       (written by {!bump_epoch} at promotion).
@@ -62,51 +64,16 @@ val sync_policy_to_string : sync_policy -> string
 
 (** {1 Mutation records} *)
 
-type mutation =
-  | Add_clause of {
-      name : string;
-      arity : int;
-      front : bool;
-      dynamic : bool;
-      clause : Xsb_term.Canon.t;  (** [':-'(Head, Body)], HiLog-encoded *)
-    }
-  | Retract_clause of { name : string; arity : int; clause : Xsb_term.Canon.t }
-  | Remove_pred of { name : string; arity : int }
-  | Set_tabled of { name : string; arity : int }
-  | Set_table_mode of { name : string; arity : int; mode : Pred.table_mode }
-  | Set_dynamic of { name : string; arity : int }
-  | Set_index of {
-      name : string;
-      arity : int;
-      spec : Pred.index_spec;
-      size_hint : int option;
-    }
-  | Declare_hilog of string
-  | Declare_module of { module_name : string; exports : (string * int) list }
-  | Declare_op of { priority : int; fixity : string; op_name : string }
-  | Load_image of string
-      (** a whole-database object-file image (snapshot records only) *)
-
-val of_db_mutation : Database.mutation -> mutation
-(** The journal-record rendering of a database mutation. *)
-
-val apply_mutation : Database.t -> mutation -> unit
-(** Replay one record into a database (recovery path). Applying a
-    [Retract_clause]/[Remove_pred] whose target is already gone is a
-    no-op, so replay is deterministic. Raises {!Corrupt_record} for a
-    structurally impossible record (e.g. a clause that is not
-    [':-'/2]). *)
-
-(** {1 The record codec} (exposed for the property tests) *)
+type mutation = Record.t
+(** The journal's records are {!Xsb_db.Record}'s: their type, codec
+    and apply function live there, shared with object images. *)
 
 exception Corrupt_record of string
+(** {!Xsb_db.Record.Corrupt_record}, re-exported: a frame whose
+    CRC-valid payload does not decode, or a bad stream header. *)
 
-val encode_mutation : mutation -> string
-(** Payload bytes (unframed). *)
-
-val decode_mutation : string -> mutation
-(** Raises {!Corrupt_record} on anything [encode_mutation] cannot have
-    produced; never [Marshal]s, never reads out of bounds. *)
+val apply_mutation : Database.t -> mutation -> unit
+(** {!Xsb_db.Record.apply}. *)
 
 val frame_record : mutation -> string
 (** [u32 length | u32 crc | payload] — what [append] writes. *)

@@ -954,13 +954,23 @@ let serve t id fd =
 
 (* --- lifecycle --- *)
 
-let read_preloads paths =
+exception Preload_error of { path : string; message : string }
+
+(* read and consult each preload file into [session], in order, and
+   return their texts; any way a file fails to load is one
+   [Preload_error] naming it *)
+let load_preloads session paths =
   List.map
     (fun path ->
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic)))
+      let fail message = raise (Preload_error { path; message }) in
+      let text =
+        try In_channel.with_open_bin path In_channel.input_all with Sys_error msg -> fail msg
+      in
+      (try Xsb.Session.consult session text with
+      | Xsb.Parser.Error (msg, pos) -> fail (Printf.sprintf "syntax error at %d: %s" pos msg)
+      | Xsb.Lexer.Error (msg, pos) -> fail (Printf.sprintf "lexical error at %d: %s" pos msg)
+      | Xsb.Loader.Load_error msg -> fail msg);
+      text)
     paths
 
 let start cfg =
@@ -969,14 +979,13 @@ let start cfg =
   (* a peer that disappears mid-write must surface as EPIPE, not kill
      the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let preload_texts = read_preloads cfg.preload in
   let registry = Xsb.Metrics.create () in
   (* the preloads go into one session, in order, so a file may use what
      an earlier one declares, and one that does not load fails [start],
      not every connection. With a data dir it is the shared session *)
   let session = Xsb.Session.create ?scheduling:cfg.scheduling () in
   if cfg.profile && cfg.data_dir <> None then Xsb.Session.set_profiling ~registry session true;
-  List.iter (Xsb.Session.consult session) preload_texts;
+  let preload_texts = load_preloads session cfg.preload in
   if cfg.replica_of <> None && cfg.data_dir = None then
     invalid_arg "Server.start: replica_of requires data_dir";
   if cfg.repl_port <> None && cfg.data_dir = None then

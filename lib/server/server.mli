@@ -89,14 +89,18 @@ val default_config : config
 
 type t
 
+exception Preload_error of { path : string; message : string }
+(** A preload file could not be read or consulted: [path] names it,
+    [message] says why (the syntax error and its position, say). *)
+
 val start : config -> t
 (** Load the preload files in order into one session (a file may use
     an operator an earlier one declares), bring up the replication
     roles, and last start accepting. [host] is a name or a numeric
     address ({!Xsb_repl.Net.inet_addr}). Raises [Unix.Unix_error] if
     the address is unavailable, {!Xsb_repl.Net.Unknown_host} if [host]
-    does not resolve, [Sys_error] if a preload file is unreadable, and
-    [Xsb.Parser.Error]/[Xsb.Loader.Load_error] if one is malformed. *)
+    does not resolve, and {!Preload_error} for the first preload file
+    that is unreadable or malformed. *)
 
 val port : t -> int
 (** The bound port (useful with [config.port = 0]). *)

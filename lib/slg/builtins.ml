@@ -231,6 +231,22 @@ let assert_clause ctx ~front args sk =
   ignore (Database.insert_clause ctx.db ~front pred ~head ~body);
   sk ()
 
+(* The clause walk of retract/1 and retractall/1: [f] runs, with the
+   bindings in place, on each clause of [pred] whose renamed head and
+   body unify with [head] and [body]. Index lookup and the clash check
+   skip most clauses without renaming them. *)
+let each_unifying ctx pred head body f =
+  let args = match Term.deref head with Term.Struct (_, a) -> a | _ -> [||] in
+  List.iter
+    (fun clause ->
+      if not (Pred.clashes args clause) then begin
+        let m = Trail.mark ctx.trail in
+        let h, b = Pred.renamed clause in
+        if Unify.unify ctx.trail head h && Unify.unify ctx.trail body b then f clause;
+        Trail.undo_to ctx.trail m
+      end)
+    (Pred.lookup pred args)
+
 let retract ctx args sk =
   let head, body = split_clause args.(0) in
   let head = Database.encode ctx.db head and body = Database.encode ctx.db body in
@@ -238,27 +254,9 @@ let retract ctx args sk =
   match Database.find ctx.db name arity with
   | None -> ()
   | Some pred ->
-      let pattern_args =
-        match Term.deref head with Term.Struct (_, a) -> a | _ -> [||]
-      in
-      let rec go = function
-        | [] -> ()
-        | clause :: rest when Pred.clashes pattern_args clause -> go rest
-        | clause :: rest ->
-            let m = Trail.mark ctx.trail in
-            let h, b = Pred.renamed clause in
-            if Unify.unify ctx.trail head h && Unify.unify ctx.trail body b then begin
-              Database.retract_clause ctx.db pred clause;
-              sk ();
-              Trail.undo_to ctx.trail m;
-              go rest
-            end
-            else begin
-              Trail.undo_to ctx.trail m;
-              go rest
-            end
-      in
-      go (Pred.lookup pred pattern_args)
+      each_unifying ctx pred head body (fun clause ->
+          Database.retract_clause ctx.db pred clause;
+          sk ())
 
 let retractall ctx args sk =
   let head = Database.encode ctx.db args.(0) in
@@ -266,13 +264,7 @@ let retractall ctx args sk =
   (match Database.find ctx.db name arity with
   | None -> ()
   | Some pred ->
-      List.iter
-        (fun clause ->
-          let m = Trail.mark ctx.trail in
-          let h = Term.copy clause.Pred.head in
-          if Unify.unify ctx.trail head h then Database.retract_clause ctx.db pred clause;
-          Trail.undo_to ctx.trail m)
-        (Pred.clauses pred));
+      each_unifying ctx pred head (Term.fresh_var ()) (Database.retract_clause ctx.db pred));
   sk ()
 
 let abolish ctx args sk =

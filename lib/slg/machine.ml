@@ -1284,13 +1284,20 @@ and solve_call ev ~det ~owner ~template ~delays ~barrier goal rest =
       else solve_untabled ev ~det ~owner ~template ~delays ~barrier pred goal rest
 
 and solve_untabled ev ~det ~owner ~template ~delays ~barrier pred goal rest =
+  let endscope = Term.Struct ("$endscope", [| Term.Int barrier |]) in
+  resolve ev ~det ~owner ~template ~delays pred goal (endscope :: rest)
+
+(* Clause resolution, for untabled calls and table generators alike:
+   every candidate clause that does not clash with [goal] is renamed and
+   unified with it, and its body runs ahead of [rest] under a fresh cut
+   barrier. *)
+and resolve ev ~det ~owner ~template ~delays pred goal rest =
   let env = ev.e_env in
   note_dyn_read owner pred;
   let b = fresh_barrier env in
-  let endscope = Term.Struct ("$endscope", [| Term.Int barrier |]) in
   let call_args = args_of goal in
   let candidates = Pred.lookup pred call_args in
-  let h = if env.profiling then Some (prof env (pred_key_of goal)) else None in
+  let h = if env.profiling then Some (prof env (Pred.name pred, Pred.arity pred)) else None in
   with_cut_catch env b (fun () ->
       List.iter
         (fun clause ->
@@ -1300,7 +1307,7 @@ and solve_untabled ev ~det ~owner ~template ~delays ~barrier pred goal rest =
             (match h with Some h -> Counter.incr h.resolutions | None -> ());
             let head, body = Pred.renamed clause in
             if Unify.unify env.trail goal head then
-              solve ev ~det ~owner ~template ~delays ~barrier:b (body :: endscope :: rest);
+              solve ev ~det ~owner ~template ~delays ~barrier:b (body :: rest);
             Trail.undo_to env.trail m
           end)
         candidates)
@@ -1721,24 +1728,7 @@ and run_task ev task =
         | Some p -> p
         | None -> error "tabled predicate %s/%d disappeared" name arity
       in
-      note_dyn_read sub pred;
-      let b = fresh_barrier env in
-      let call_args = args_of pattern in
-      let candidates = Pred.lookup pred call_args in
-      let h = if env.profiling then Some (prof env sub.s_pred) else None in
-      with_cut_catch env b (fun () ->
-          List.iter
-            (fun clause ->
-              if not (Pred.clashes call_args clause) then begin
-                let m = Trail.mark env.trail in
-                env.stats.st_resolutions <- env.stats.st_resolutions + 1;
-                (match h with Some h -> Counter.incr h.resolutions | None -> ());
-                let head, body = Pred.renamed clause in
-                if Unify.unify env.trail pattern head then
-                  solve ev ~det:false ~owner:sub ~template:pattern ~delays:[] ~barrier:b [ body ];
-                Trail.undo_to env.trail m
-              end)
-            candidates)
+      resolve ev ~det:false ~owner:sub ~template:pattern ~delays:[] pred pattern []
   | Drain consumer ->
       let store = consumer.c_table.s_store in
       if obs_on env then

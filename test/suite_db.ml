@@ -322,6 +322,169 @@ let store_matches_model ops =
       check_lookups ())
     ops
 
+(* --- object images and snapshots rebuild the database --- *)
+
+(* a history over a few predicates: static and dynamic clauses, table
+   modes, index specs, HiLog symbols (h is also a predicate name, as in
+   [:- hilog h.] beside the fact [h.]) and modules *)
+type db_op =
+  | Add of { p : int; dynamic : bool; front : bool; args : int list }
+  | Retract of { p : int; k : int }
+  | Remove of int
+  | Table of { p : int; mode : Pred.table_mode option }
+  | Index of { p : int; spec : Pred.index_spec }
+  | Hilog of string
+  | Module of { name : string; exports : int list }
+
+let db_preds = [| ("p", 2); ("q", 1); ("h", 0); ("h", 1); ("r", 3) |]
+
+let db_op_gen =
+  let open QCheck2.Gen in
+  let p = int_bound (Array.length db_preds - 1) in
+  let mode =
+    oneofl
+      [
+        None;
+        Some Pred.Variant;
+        Some Pred.Incremental;
+        Some Pred.Subsumption;
+        Some (Pred.Subsumptive Answer_store.Subsumption.Min);
+        Some (Pred.Subsumptive Answer_store.Subsumption.Count);
+      ]
+  in
+  let spec =
+    oneofl
+      [
+        Pred.Fields [ [ 1 ] ];
+        Pred.Fields [ [ 2 ]; [ 1; 2 ] ];
+        Pred.Fields [ [ 1; 2; 3 ] ];
+        Pred.First_string_index;
+        Pred.Disc_tree_index;
+      ]
+  in
+  frequency
+    [
+      ( 10,
+        map4
+          (fun p dynamic front args -> Add { p; dynamic; front; args })
+          p bool bool
+          (list_repeat 3 (int_range (-1) 5)) );
+      (3, map2 (fun p k -> Retract { p; k }) p nat);
+      (1, map (fun p -> Remove p) p);
+      (2, map2 (fun p mode -> Table { p; mode }) p mode);
+      (2, map2 (fun p spec -> Index { p; spec }) p spec);
+      (2, map (fun h -> Hilog h) (oneofl [ "h"; "p"; "g" ]));
+      ( 1,
+        map2
+          (fun name exports -> Module { name; exports })
+          (oneofl [ "m1"; "m2" ])
+          (list_size (int_bound 2) p) );
+    ]
+
+let print_db_op = function
+  | Add { p; dynamic; front; args } ->
+      Printf.sprintf "add %s/%d %s%s [%s]" (fst db_preds.(p)) (snd db_preds.(p))
+        (if dynamic then "dynamic " else "")
+        (if front then "asserta" else "assertz")
+        (String.concat "," (List.map string_of_int args))
+  | Retract { p; k } -> Printf.sprintf "retract %s/%d #%d" (fst db_preds.(p)) (snd db_preds.(p)) k
+  | Remove p -> Printf.sprintf "remove %s/%d" (fst db_preds.(p)) (snd db_preds.(p))
+  | Table { p; mode } ->
+      Printf.sprintf "table %s/%d %s" (fst db_preds.(p)) (snd db_preds.(p))
+        (Option.fold ~none:"(plain)" ~some:Pred.table_mode_to_string mode)
+  | Index { p; spec } ->
+      Printf.sprintf "index %s/%d %s" (fst db_preds.(p)) (snd db_preds.(p))
+        (Suite_journal.index_spec_str spec)
+  | Hilog h -> "hilog " ^ h
+  | Module { name; exports } ->
+      Printf.sprintf "module %s [%s]" name
+        (String.concat "," (List.map (fun p -> fst db_preds.(p)) exports))
+
+let apply_db_op db op =
+  let key p = db_preds.(p) in
+  match op with
+  | Add { p; dynamic; front; args } ->
+      let name, arity = key p in
+      let arg = function
+        | -1 -> Term.fresh_var ()
+        | 4 -> Term.Atom "a"
+        | 5 -> Term.Struct ("f", [| Term.fresh_var () |])
+        | n -> Term.Int n
+      in
+      let head =
+        if arity = 0 then Term.Atom name
+        else Term.Struct (name, Array.of_list (List.filteri (fun i _ -> i < arity) (List.map arg args)))
+      in
+      let pred =
+        if dynamic then Database.set_dynamic db name arity else Database.declare db name arity
+      in
+      ignore (Database.insert_clause db ~front pred ~head ~body:(Term.Atom "true"))
+  | Retract { p; k } -> (
+      let name, arity = key p in
+      match Database.find db name arity with
+      | Some pred when Pred.clause_count pred > 0 ->
+          (* like retract/1: the first clause equal to the chosen one,
+             since a record names a clause by its content *)
+          let cs = Pred.clauses pred in
+          let canon c = Canon.of_term (Term.Struct (":-", [| c.Pred.head; c.Pred.body |])) in
+          let target = canon (List.nth cs (k mod List.length cs)) in
+          Database.retract_clause db pred
+            (List.find (fun c -> Canon.equal (canon c) target) cs)
+      | _ -> ())
+  | Remove p ->
+      let name, arity = key p in
+      Database.remove_pred db name arity
+  | Table { p; mode } -> (
+      let name, arity = key p in
+      match mode with
+      | None -> Database.set_tabled db name arity
+      | Some mode -> (
+          try Database.set_table_mode db name arity mode
+          with Database.Table_mode_conflict _ -> ()))
+  | Index { p; spec } ->
+      let name, arity = key p in
+      Database.set_index db name arity spec
+  | Hilog h -> Database.declare_hilog db h
+  | Module { name; exports } -> Database.declare_module db name (List.map key exports)
+
+let rm_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+let round_trips =
+  let counter = ref 0 in
+  fun ops ->
+    incr counter;
+    let dir =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "xsb_db_roundtrip_%d_%d" (Unix.getpid ()) !counter)
+    in
+    Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_dir dir) @@ fun () ->
+    let cfg = { (Journal.default_config ~dir) with Journal.sync = Journal.Never } in
+    let db = fresh () in
+    let j = Journal.open_ cfg db in
+    Journal.attach j;
+    (* half the history goes into the snapshot, half into the journal tail *)
+    let half = List.length ops / 2 in
+    List.iteri (fun i op -> if i < half then apply_db_op db op) ops;
+    Journal.compact j;
+    let at_compaction = Suite_journal.fingerprint db in
+    List.iteri (fun i op -> if i >= half then apply_db_op db op) ops;
+    Journal.close j;
+    let live = Suite_journal.fingerprint db in
+    let image = fresh () in
+    ignore (Obj_file.load_string image (Suite_journal.image_bytes db));
+    let recovered = fresh () in
+    Journal.close (Journal.open_ cfg recovered);
+    (* the snapshot alone, without the journal tail *)
+    let snapshot_only = fresh () in
+    Sys.remove (Filename.concat dir "journal.log");
+    Journal.close (Journal.open_ cfg snapshot_only);
+    let same what a b = String.equal a b || QCheck2.Test.fail_reportf "%s:\n%s\n<>\n%s" what a b in
+    same "object image" (Suite_journal.pred_fingerprint db) (Suite_journal.pred_fingerprint image)
+    && same "compact + recovery" live (Suite_journal.fingerprint recovered)
+    && same "snapshot" at_compaction (Suite_journal.fingerprint snapshot_only)
+
 let props =
   [
     QCheck2.Test.make ~count:300
@@ -329,6 +492,11 @@ let props =
       ~print:QCheck2.Print.(list print_store_op)
       QCheck2.Gen.(list_size (int_range 0 60) store_op_gen)
       store_matches_model;
+    QCheck2.Test.make ~count:100
+      ~name:"an object image and compact + recovery rebuild the live database"
+      ~print:QCheck2.Print.(list print_db_op)
+      QCheck2.Gen.(list_size (int_range 0 40) db_op_gen)
+      round_trips;
   ]
 
 (* seed 20 unless QCHECK_SEED names another, as CI's seed matrix does *)

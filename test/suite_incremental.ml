@@ -307,10 +307,10 @@ let journal_cases =
     t "table modes round-trip through the journal mutation" `Quick (fun () ->
         let mode = Pred.Subsumptive Answer_store.Subsumption.Min in
         let m =
-          Journal.of_db_mutation (Database.Table_mode_pred { name = "sp"; arity = 3; mode })
+          Record.of_db_mutation (Database.Table_mode_pred { name = "sp"; arity = 3; mode })
         in
         let db = Database.create () in
-        Journal.apply_mutation db m;
+        Record.apply db m;
         match Database.find db "sp" 3 with
         | Some p ->
             check_bool "tabled" true (Pred.tabled p);

@@ -233,8 +233,23 @@ let wfs_props =
     Gen.list_size (Gen.int_range 1 12)
       (Gen.triple atom (Gen.list_size (Gen.int_range 0 2) atom) (Gen.list_size (Gen.int_range 0 2) atom))
   in
+  (* the program as the engine consults it; also what a failing case prints *)
+  let program_text rules =
+    ":- table p0/0, p1/0, p2/0, p3/0, p4/0, p5/0, p6/0, p7/0.\n"
+    ^ String.concat "\n"
+        (List.map
+           (fun (h, pos, neg) ->
+             let body = pos @ List.map (fun a -> "tnot(" ^ a ^ ")") neg in
+             match body with
+             | [] -> h ^ "."
+             | _ -> h ^ " :- " ^ String.concat ", " body ^ ".")
+           rules)
+  in
   [
-    Test.make ~name:"engine WFS = direct alternating fixpoint" ~count:80 program_gen (fun rules ->
+    Test.make ~name:"engine WFS = direct alternating fixpoint" ~count:80
+      ~print:(fun rules -> "\n" ^ program_text rules)
+      program_gen
+      (fun rules ->
         (* direct ground evaluation *)
         let ground = Ground.create () in
         List.iter
@@ -245,19 +260,7 @@ let wfs_props =
               ~neg:(List.map (fun a -> Canon.of_term (Term.Atom a)) neg))
           rules;
         (* engine in well-founded mode *)
-        let text =
-          ":- table p0/0, p1/0, p2/0, p3/0, p4/0, p5/0, p6/0, p7/0.\n"
-          ^ String.concat "\n"
-              (List.map
-                 (fun (h, pos, neg) ->
-                   let body =
-                     List.map (fun a -> a) pos @ List.map (fun a -> "tnot(" ^ a ^ ")") neg
-                   in
-                   match body with
-                   | [] -> h ^ "."
-                   | _ -> h ^ " :- " ^ String.concat ", " body ^ ".")
-                 rules)
-        in
+        let text = program_text rules in
         let s = session ~mode:Machine.Well_founded text in
         List.for_all
           (fun i ->

@@ -7,6 +7,7 @@
 
 open Xsb_server
 module J = Xsb.Journal
+module R = Xsb.Record
 module F = Xsb.Failpoint
 
 let t = Alcotest.test_case
@@ -42,37 +43,60 @@ let tm f args = Xsb.Term.Struct (f, Array.of_list args)
 let i n = Xsb.Term.Int n
 let clause_canon head body = Xsb.Canon.of_term (Xsb.Term.Struct (":-", [| head; body |]))
 
-let fingerprint db =
+let index_spec_str = function
+  | Xsb.Pred.Fields combos ->
+      "fields"
+      ^ String.concat ""
+          (List.map (fun c -> "[" ^ String.concat "," (List.map string_of_int c) ^ "]") combos)
+  | Xsb.Pred.First_string_index -> "first_string"
+  | Xsb.Pred.Disc_tree_index -> "disc_tree"
+
+(* the predicates alone: what an object image carries *)
+let pred_fingerprint db =
   let clause_str (c : Xsb.Pred.clause) =
     Fmt.str "%a" Xsb.Canon.pp (clause_canon c.Xsb.Pred.head c.Xsb.Pred.body)
   in
   let pred_line p =
-    Printf.sprintf "%s/%d %s tabled=%b mode=%s [%s]" (Xsb.Pred.name p) (Xsb.Pred.arity p)
+    Printf.sprintf "%s/%d %s tabled=%b mode=%s index=%s [%s]" (Xsb.Pred.name p)
+      (Xsb.Pred.arity p)
       (match Xsb.Pred.kind p with Xsb.Pred.Dynamic -> "dynamic" | Xsb.Pred.Static -> "static")
       (Xsb.Pred.tabled p)
       (Xsb.Pred.table_mode_to_string (Xsb.Pred.table_mode p))
+      (index_spec_str (Xsb.Pred.index_spec p))
       (String.concat "; " (List.map clause_str (Xsb.Pred.clauses p)))
   in
+  String.concat "\n" (List.sort compare (List.map pred_line (Xsb.Database.preds db)))
+
+let fingerprint db =
   String.concat "\n"
-    (List.sort compare (List.map pred_line (Xsb.Database.preds db))
-    @ [ "hilog: " ^ String.concat "," (List.sort_uniq compare (Xsb.Database.hilog_symbols db)) ]
-    @ [
-        "modules: "
-        ^ String.concat ","
-            (List.sort_uniq compare
-               (List.map
-                  (fun (m : Xsb.Database.module_info) ->
-                    Printf.sprintf "%s(%s)" m.Xsb.Database.module_name
-                      (String.concat ";"
-                         (List.map (fun (n, a) -> Printf.sprintf "%s/%d" n a) m.Xsb.Database.exports)))
-                  (Xsb.Database.modules db)));
-      ])
+    [
+      pred_fingerprint db;
+      "hilog: " ^ String.concat "," (List.sort_uniq compare (Xsb.Database.hilog_symbols db));
+      "modules: "
+      ^ String.concat ","
+          (List.sort_uniq compare
+             (List.map
+                (fun (m : Xsb.Database.module_info) ->
+                  Printf.sprintf "%s(%s)" m.Xsb.Database.module_name
+                    (String.concat ";"
+                       (List.map (fun (n, a) -> Printf.sprintf "%s/%d" n a) m.Xsb.Database.exports)))
+                (Xsb.Database.modules db)));
+    ]
+
+(* the bytes Obj_file.save_all writes for [db] *)
+let image_bytes db =
+  let path = Filename.temp_file "xsb_image" ".obj" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Xsb.Obj_file.save_all db path;
+      In_channel.with_open_bin path In_channel.input_all)
 
 (* --- the record codec --- *)
 
 let sample_mutations =
   [
-    J.Add_clause
+    R.Add_clause
       {
         name = "edge";
         arity = 2;
@@ -80,7 +104,7 @@ let sample_mutations =
         dynamic = true;
         clause = clause_canon (tm "edge" [ i 1; i 2 ]) (Xsb.Term.Atom "true");
       };
-    J.Add_clause
+    R.Add_clause
       {
         name = "path";
         arity = 2;
@@ -91,28 +115,27 @@ let sample_mutations =
             (tm "path" [ Xsb.Term.fresh_var (); Xsb.Term.fresh_var () ])
             (tm "edge" [ Xsb.Term.fresh_var (); Xsb.Term.fresh_var () ]);
       };
-    J.Retract_clause
+    R.Retract_clause
       {
         name = "edge";
         arity = 2;
         clause = clause_canon (tm "edge" [ i 1; i 2 ]) (Xsb.Term.Atom "true");
       };
-    J.Remove_pred { name = "p"; arity = 1 };
-    J.Set_tabled { name = "path"; arity = 2 };
-    J.Set_table_mode { name = "reach"; arity = 2; mode = Xsb.Pred.Incremental };
-    J.Set_table_mode
+    R.Remove_pred { name = "p"; arity = 1 };
+    R.Set_tabled { name = "path"; arity = 2 };
+    R.Set_table_mode { name = "reach"; arity = 2; mode = Xsb.Pred.Incremental };
+    R.Set_table_mode
       { name = "sp"; arity = 3; mode = Xsb.Pred.Subsumptive Xsb.Answer_store.Subsumption.Min };
-    J.Set_table_mode
+    R.Set_table_mode
       { name = "n"; arity = 2; mode = Xsb.Pred.Subsumptive Xsb.Answer_store.Subsumption.Count };
-    J.Set_dynamic { name = "q"; arity = 3 };
-    J.Set_index
+    R.Set_dynamic { name = "q"; arity = 3 };
+    R.Set_index
       { name = "edge"; arity = 2; spec = Xsb.Pred.Fields [ [ 1 ]; [ 2; 1 ] ]; size_hint = Some 64 };
-    J.Set_index { name = "word"; arity = 2; spec = Xsb.Pred.First_string_index; size_hint = None };
-    J.Set_index { name = "term"; arity = 1; spec = Xsb.Pred.Disc_tree_index; size_hint = None };
-    J.Declare_hilog "h";
-    J.Declare_module { module_name = "m"; exports = [ ("p", 1); ("q", 2) ] };
-    J.Declare_op { priority = 700; fixity = "xfx"; op_name = "==>" };
-    J.Load_image "\x00\x01\xffnot really an image";
+    R.Set_index { name = "word"; arity = 2; spec = Xsb.Pred.First_string_index; size_hint = None };
+    R.Set_index { name = "term"; arity = 1; spec = Xsb.Pred.Disc_tree_index; size_hint = None };
+    R.Declare_hilog "h";
+    R.Declare_module { module_name = "m"; exports = [ ("p", 1); ("q", 2) ] };
+    R.Declare_op { priority = 700; fixity = "xfx"; op_name = "==>" };
   ]
 
 let codec_cases =
@@ -120,7 +143,7 @@ let codec_cases =
     t "every mutation variant round-trips through the codec" `Quick (fun () ->
         List.iter
           (fun m ->
-            let m' = J.decode_mutation (J.encode_mutation m) in
+            let m' = R.decode (R.encode m) in
             check_bool "round trip" true (m = m'))
           sample_mutations);
     t "a flipped bit anywhere in a frame never yields a record" `Quick (fun () ->
@@ -165,15 +188,15 @@ let codec_cases =
     t "decode_mutation rejects garbage with Corrupt_record" `Quick (fun () ->
         List.iter
           (fun s ->
-            match J.decode_mutation s with
-            | exception J.Corrupt_record _ -> ()
+            match R.decode s with
+            | exception R.Corrupt_record _ -> ()
             | _ -> Alcotest.failf "decoded %S" s)
           [
             "";
             "\xff";
             "\x00";
             "\x63";
-            J.encode_mutation (List.nth sample_mutations 0) ^ "x";
+            R.encode (List.nth sample_mutations 0) ^ "x";
             "\x06\x00\x00\xff\xffhuge";
           ]);
     t "sync policy names parse" `Quick (fun () ->
@@ -511,7 +534,7 @@ let crash_everywhere seed =
   let muts, cum =
     let db = Xsb.Database.create () in
     let acc = ref [] in
-    Xsb.Database.on_mutation db (fun m -> acc := J.of_db_mutation m :: !acc);
+    Xsb.Database.on_mutation db (fun m -> acc := R.of_db_mutation m :: !acc);
     let cum = Array.make (n_ops + 1) 0 in
     List.iteri
       (fun idx op ->
@@ -523,7 +546,7 @@ let crash_everywhere seed =
   let expected_at m =
     let db = Xsb.Database.create () in
     for k = 0 to m - 1 do
-      J.apply_mutation db muts.(k)
+      R.apply db muts.(k)
     done;
     fingerprint db
   in
@@ -914,8 +937,8 @@ let incremental_server_cases =
                              sp(X,Z,C) :- sp(X,Y,C1), edge(Y,Z,C2), C is C1 + C2."));
                     ignore (ok (Client.assert_ c "edge(a,b,3)"));
                     ignore (ok (Client.assert_ c "edge(a,b,1)"))));
-            (* compact_bytes = 0 forces snapshot compaction, so recovery
-               replays Load_image + Set_table_mode records *)
+            (* compact_bytes = 0 turns auto-compaction off, so recovery
+               replays the journal's Set_table_mode record *)
             with_server ~cfg:(durable_cfg dir) (fun server ->
                 with_client server (fun c ->
                     check_int "still folded to the minimum" 1
@@ -932,7 +955,7 @@ let group_cfg dir =
   { (J.default_config ~dir) with J.sync = J.Group { window_us = 200; max_batch = 64 } }
 
 let edge_mut k =
-  J.Add_clause
+  R.Add_clause
     {
       name = "edge";
       arity = 2;
@@ -1330,7 +1353,7 @@ let demand_index_cases =
           let journal = slurp (Filename.concat dir "journal.log") in
           J.compact j;
           let snapshot = slurp (Filename.concat dir "snapshot.bin") in
-          let image = Xsb.Obj_file.to_string db in
+          let image = image_bytes db in
           J.close j;
           let db2 = Xsb.Database.create () in
           let j2 = J.open_ (J.default_config ~dir) db2 in
@@ -1347,7 +1370,143 @@ let demand_index_cases =
                 check_bool "object image bytes identical" true (String.equal image image'))));
   ]
 
+(* --- one record format: object images and snapshots are record streams --- *)
+
+let mode_of db name arity =
+  match Xsb.Database.find db name arity with
+  | Some p -> Xsb.Pred.table_mode_to_string (Xsb.Pred.table_mode p)
+  | None -> "missing"
+
+let hilog_program = ":- hilog h.\nh.\nh(1).\n"
+
+let record_cases =
+  [
+    t "an object image keeps subsumptive(min) and incremental table modes" `Quick (fun () ->
+        let s = Xsb.Session.create () in
+        Xsb.Session.consult s
+          ":- table p/2 as subsumptive(min).\n\
+           p(X,C) :- e(X,C).\n\
+           :- table q/1 as incremental.\n\
+           q(X) :- e(X,_).\n\
+           e(a,3). e(a,1).";
+        let db = Xsb.Session.db s in
+        let image = image_bytes db in
+        let s2 = Xsb.Session.create () in
+        ignore (Xsb.Obj_file.load_string (Xsb.Session.db s2) image);
+        check_string "p/2" (mode_of db "p" 2) (mode_of (Xsb.Session.db s2) "p" 2);
+        check_string "q/1" (mode_of db "q" 1) (mode_of (Xsb.Session.db s2) "q" 1);
+        check_int "p(a,C) folds to the minimum" 1 (Xsb.Session.count s2 "p(a,C)"));
+    t "snapshot recovery keeps a HiLog declaration beside the fact h." `Quick (fun () ->
+        with_dir (fun dir ->
+            let cfg = { (J.default_config ~dir) with J.sync = J.Never } in
+            let s = Xsb.Session.create () in
+            let j = J.open_ cfg (Xsb.Session.db s) in
+            J.attach j;
+            Xsb.Session.consult s hilog_program;
+            check_int "h(X) live" 1 (Xsb.Session.count s "h(X)");
+            J.compact j;
+            J.close j;
+            let s2 = Xsb.Session.create () in
+            J.close (J.open_ cfg (Xsb.Session.db s2));
+            check_string "recovered = live" (fingerprint (Xsb.Session.db s))
+              (fingerprint (Xsb.Session.db s2));
+            check_int "h(X) after recovery" 1 (Xsb.Session.count s2 "h(X)")));
+    t "an object image that fails to decode leaves the database unchanged" `Quick (fun () ->
+        let s = Xsb.Session.create () in
+        Xsb.Session.consult s ":- dynamic e/2.\ne(1,2). e(2,3).\n:- table r/1 as incremental.";
+        let db = Xsb.Session.db s in
+        let before = fingerprint db in
+        (* whole records, then one cut short: the digest is re-forged so
+           only the record decoder can refuse it *)
+        let other = Xsb.Database.create () in
+        ignore (Xsb.Loader.consult_string other "e(7,7). e(8,8). f(x).");
+        let image = image_bytes other in
+        let payload = String.sub image 28 (String.length image - 28 - 1) in
+        let b = Buffer.create 64 in
+        Buffer.add_string b (String.sub image 0 8);
+        Buffer.add_int32_be b (Int32.of_int (String.length payload));
+        Buffer.add_string b (Digest.string payload);
+        Buffer.add_string b payload;
+        (match Xsb.Obj_file.load_string db (Buffer.contents b) with
+        | exception Xsb.Obj_file.Bad_object_file _ -> ()
+        | _ -> Alcotest.fail "a cut-short image loaded");
+        check_string "database unchanged" before (fingerprint db));
+    t "a snapshot of an older format is refused by name" `Quick (fun () ->
+        with_dir (fun dir ->
+            Unix.mkdir dir 0o755;
+            let b = Buffer.create 24 in
+            Buffer.add_string b "XSBSNP02";
+            Buffer.add_int64_be b 1L;
+            Buffer.add_int64_be b 1L;
+            Out_channel.with_open_bin (Filename.concat dir "snapshot.bin") (fun oc ->
+                Buffer.output_buffer oc b);
+            match J.open_ (J.default_config ~dir) (Xsb.Database.create ()) with
+            | exception J.Recovery_error { message; _ } ->
+                let names sub =
+                  let n = String.length sub in
+                  let rec at i = i + n <= String.length message && (String.sub message i n = sub || at (i + 1)) in
+                  at 0
+                in
+                check_bool ("names the format: " ^ message) true (names "XSBSNP02")
+            | j ->
+                J.close j;
+                Alcotest.fail "an XSBSNP02 snapshot was accepted"));
+    t "an index no hash index can key on is refused; one a record holds survives" `Quick
+      (fun () ->
+        with_dir (fun dir ->
+            let cfg = { (J.default_config ~dir) with J.sync = J.Never } in
+            let s = Xsb.Session.create () in
+            let db = Xsb.Session.db s in
+            let j = J.open_ cfg db in
+            J.attach j;
+            List.iter
+              (fun directive ->
+                match Xsb.Session.consult s directive with
+                | exception Xsb.Loader.Load_error _ -> ()
+                | () -> Alcotest.failf "accepted %s" directive)
+              [ ":- index(p/2,[1+2+3+4])."; ":- index(q/4,[1+2+3+4])."; ":- index(r/2, 3)." ];
+            check_string "nothing declared" "" (pred_fingerprint db);
+            (* earlier versions accepted both directives, so a journal
+               may hold their records *)
+            Xsb.Session.consult s "q(a,b,c,d). q(a,b,c,e).";
+            Xsb.Database.set_index db "p" 2 (Xsb.Pred.Fields [ [ 1; 2; 3; 4 ] ]);
+            Xsb.Database.set_index db "q" 4 (Xsb.Pred.Fields [ [ 1; 2; 3; 4 ]; [ 4 ] ]);
+            check_int "q(X,Y,Z,e)" 1 (Xsb.Session.count s "q(X,Y,Z,e)");
+            let live = fingerprint db in
+            let image = image_bytes db in
+            J.close j;
+            let replayed = Xsb.Database.create () in
+            let j2 = J.open_ cfg replayed in
+            check_string "journal replay" live (fingerprint replayed);
+            J.compact j2;
+            J.close j2;
+            let recovered = Xsb.Session.create () in
+            J.close (J.open_ cfg (Xsb.Session.db recovered));
+            check_string "snapshot recovery" live (fingerprint (Xsb.Session.db recovered));
+            check_int "q(X,Y,Z,e) after recovery" 1 (Xsb.Session.count recovered "q(X,Y,Z,e)");
+            let loaded = Xsb.Database.create () in
+            ignore (Xsb.Obj_file.load_string loaded image);
+            check_string "object image" (pred_fingerprint db) (pred_fingerprint loaded)));
+    t "the journal bytes of a fixed history do not change" `Quick (fun () ->
+        (* the history of the demand-index test below; the digest is the
+           one the journal format has had since XSBJNL02 *)
+        with_dir (fun dir ->
+            let s = Xsb.Session.create () in
+            let j = J.open_ { (J.default_config ~dir) with J.sync = J.Never } (Xsb.Session.db s) in
+            J.attach j;
+            Xsb.Session.consult s
+              (":- dynamic par/2.\n"
+              ^ String.concat "" (List.init 12 (fun k -> Printf.sprintf "par(%d,%d).\n" k (k / 2))));
+            ignore (Xsb.Session.count s "par(X,3)");
+            ignore
+              (Xsb.Session.query s "assertz(par(20,3)), asserta(par(21,3)), retract(par(7,3))");
+            J.close j;
+            let bytes = In_channel.with_open_bin (Filename.concat dir "journal.log") In_channel.input_all in
+            check_int "length" 1122 (String.length bytes);
+            check_string "md5" "6f34d9dd0e0dd04a4b8d2880c01fb0d0" (Digest.to_hex (Digest.string bytes))));
+  ]
+
 let suite =
   codec_cases @ lifecycle_cases @ failpoint_cases @ property_cases @ group_cases
   @ group_property_cases @ archive_cases @ remove_pred_cases @ retry_cases @ server_cases
-  @ incremental_server_cases @ epoch_cases @ retract_replay_cases @ demand_index_cases
+  @ incremental_server_cases @ epoch_cases @ retract_replay_cases @ demand_index_cases @ record_cases

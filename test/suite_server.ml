@@ -232,7 +232,7 @@ let negative_cases =
            reject adversarial payloads on its own, with a typed error. *)
         let forged payload =
           let b = Buffer.create (String.length payload + 28) in
-          Buffer.add_string b "XSBOBJ03";
+          Buffer.add_string b "XSBOBJ04";
           List.iter
             (fun shift -> Buffer.add_char b (Char.chr ((String.length payload lsr shift) land 0xff)))
             [ 24; 16; 8; 0 ];
@@ -242,12 +242,85 @@ let negative_cases =
         in
         expect_bad_object "garbage payload" (forged (String.make 64 '\xee'));
         expect_bad_object "empty payload" (forged "");
-        expect_bad_object "huge image count" (forged "\x7f\xff\xff\xff");
-        expect_bad_object "huge string length" (forged "\x00\x00\x00\x01\xff\xff\xff\xff");
+        expect_bad_object "huge record count" (forged "\x7f\xff\xff\xff");
+        expect_bad_object "huge string length" (forged "\x00\x00\x00\x01\x06\xff\xff\xff\xff");
         (* a valid payload with extra bytes smuggled after the image *)
         let image = save_tc_image () in
         let payload = String.sub image 28 (String.length image - 28) in
         expect_bad_object "trailing bytes" (forged (payload ^ "\x00"));
+        (* records that decode but could not apply *)
+        let records rs =
+          let b = Buffer.create 64 in
+          Buffer.add_int32_be b (Int32.of_int (List.length rs));
+          List.iter (Xsb.Record.put b) rs;
+          Buffer.contents b
+        in
+        (* a table mode that conflicts is refused before anything applies *)
+        let refused_unchanged what db bytes =
+          let before = Suite_journal.fingerprint db in
+          (match Xsb.Obj_file.load_string db bytes with
+          | exception Xsb.Obj_file.Bad_object_file _ -> ()
+          | exception e ->
+              Alcotest.failf "%s: expected Bad_object_file, got %s" what (Printexc.to_string e)
+          | _ -> Alcotest.failf "%s: image loaded" what);
+          check_string (what ^ ": database unchanged") before (Suite_journal.fingerprint db)
+        in
+        let mode m = Xsb.Record.Set_table_mode { name = "p"; arity = 1; mode = m } in
+        let fact =
+          [
+            Xsb.Record.Add_clause
+              {
+                name = "e";
+                arity = 0;
+                front = false;
+                dynamic = false;
+                clause = Xsb.Canon.of_term (Xsb.Parser.term_of_string "e :- true");
+              };
+          ]
+        in
+        let min = Xsb.Pred.Subsumptive Xsb.Answer_store.Subsumption.Min in
+        refused_unchanged "conflicting table modes in the image"
+          (Xsb.Database.create ())
+          (forged (records (fact @ [ mode Xsb.Pred.Incremental; mode min ])));
+        let incremental () =
+          let db = Xsb.Database.create () in
+          Xsb.Database.set_table_mode db "p" 1 Xsb.Pred.Incremental;
+          db
+        in
+        refused_unchanged "a table mode that conflicts with the database's" (incremental ())
+          (forged (records (fact @ [ mode min ])));
+        (* after the image removes p/1, its mode is the image's own *)
+        let db = incremental () in
+        ignore
+          (Xsb.Obj_file.load_string db
+             (forged (records (fact @ [ Xsb.Record.Remove_pred { name = "p"; arity = 1 }; mode min ]))));
+        check_string "p/1 replaced" "subsumptive(min)"
+          (Xsb.Pred.table_mode_to_string (Xsb.Pred.table_mode (Option.get (Xsb.Database.find db "p" 1))));
+        expect_bad_object "operator priority 5000"
+          (forged (records [ Xsb.Record.Declare_op { priority = 5000; fixity = "xfx"; op_name = "==>" } ]));
+        (* a combination no hash index can key on (an older journal may
+           hold one) is kept in the spec and builds no index *)
+        let db = Xsb.Database.create () in
+        let spec = Xsb.Pred.Fields [ [ 1; 2; 3; 4 ]; [ 2 ] ] in
+        ignore
+          (Xsb.Obj_file.load_string db
+             (forged (records [ Xsb.Record.Set_index { name = "p"; arity = 4; spec; size_hint = None } ])));
+        let p = Option.get (Xsb.Database.find db "p" 4) in
+        check_bool "spec kept" true (Xsb.Pred.index_spec p = spec);
+        Alcotest.(check (list (list int))) "indexes built" [ [ 2 ] ] (Xsb.Pred.hash_index_fields p);
+        expect_bad_object "a clause filed under another predicate"
+          (forged
+             (records
+                [
+                  Xsb.Record.Add_clause
+                    {
+                      name = "p";
+                      arity = 2;
+                      front = false;
+                      dynamic = false;
+                      clause = Xsb.Canon.of_term (Xsb.Parser.term_of_string "q(1) :- true");
+                    };
+                ]));
         (* 200k-deep f(f(...f(_)...)): must neither blow the stack nor
            load; the clause-shape check rejects it as a typed error *)
         let b = Buffer.create (1 lsl 21) in
@@ -258,11 +331,11 @@ let negative_cases =
           u32 (String.length s);
           Buffer.add_string b s
         in
-        u32 1 (* one image *);
+        u32 1 (* one record *);
+        Buffer.add_char b '\x00' (* Add_clause *);
         str "p";
         u32 1 (* arity *);
-        Buffer.add_string b "\x00\x00\x01" (* static, untabled, First_string index *);
-        u32 1 (* one clause *);
+        Buffer.add_string b "\x00\x00" (* assertz, static *);
         for _ = 1 to 200_000 do
           Buffer.add_char b '\x04';
           str "f";
@@ -1428,7 +1501,10 @@ let config_cases =
     t "preload: a syntax error makes Server.start raise" `Quick (fun () ->
         with_program_file "edge(1,2).\nedge(2,\n" (fun path ->
             match Server.start { Server.default_config with port = 0; preload = [ path ] } with
-            | exception (Xsb.Parser.Error _ | Xsb.Loader.Load_error _) -> ()
+            | exception Server.Preload_error { path = failed; message } ->
+                check_string "the path of the file that failed" path failed;
+                check_bool ("a syntax error: " ^ message) true
+                  (String.length message > 12 && String.sub message 0 12 = "syntax error")
             | server ->
                 Server.stop server;
                 Alcotest.fail "started with a malformed preload"));
