@@ -36,7 +36,9 @@ type index_spec = Fields of int list list | First_string_index | Disc_tree_index
    at position [i] of [back], [asserta] puts id [-1-i] at position [i] of
    [front]. Clause order is [front] reversed, then [back]. A retracted
    clause leaves [tombstone] in its slot; slots are never reclaimed
-   (abolishing a predicate drops its whole store). *)
+   (abolishing a predicate drops its whole store). The indexes keep a
+   retracted clause's id until [ndead] outgrows [nlive] and they are
+   rebuilt; lookups drop such ids through [by_ids]. *)
 type t = {
   name : string;
   arity : int;
@@ -46,6 +48,7 @@ type t = {
   front : clause Vec.t;
   back : clause Vec.t;
   mutable nlive : int;
+  mutable ndead : int;
   mutable spec : index_spec;
   mutable hash_indexes : Arg_hash.t list;
   mutable first_string : First_string.t option;
@@ -65,6 +68,7 @@ let create ?(kind = Static) name arity =
     front = Vec.create ();
     back = Vec.create ();
     nlive = 0;
+    ndead = 0;
     spec = Fields [ [ 1 ] ];
     hash_indexes = (if arity >= 1 then [ Arg_hash.create [ 1 ] ] else []);
     first_string = None;
@@ -135,6 +139,7 @@ let rebuild_indexes t ?size_hint () =
       t.hash_indexes <- [];
       t.first_string <- None;
       t.disc_tree <- Some (Disc_tree.create ()));
+  t.ndead <- 0;
   List.iter (fun c -> index_insert t c) (clauses t)
 
 let set_index t ?size_hint spec =
@@ -150,16 +155,17 @@ let push t v clause =
 let assertz t ~head ~body = push t t.back { id = Vec.length t.back; head; body }
 let asserta t ~head ~body = push t t.front { id = -1 - Vec.length t.front; head; body }
 
+(* A retract only tombstones its slot. Once retracted ids outnumber
+   live clauses the indexes are rebuilt from the live ones (a
+   demand-built index is dropped and built again by the next call that
+   needs it), so k retracts cost O(k) amortized. *)
 let remove t clause =
   let c = get t clause.id in
   if c != tombstone then begin
     Vec.set (vec t c.id) (pos c.id) tombstone;
     t.nlive <- t.nlive - 1;
-    let args = head_args c in
-    List.iter (fun idx -> Arg_hash.remove idx c.id args) t.hash_indexes;
-    (* tries do not support removal: static predicates are never
-       retracted clause-by-clause; if it ever happens, rebuild *)
-    if t.first_string <> None || t.disc_tree <> None then rebuild_indexes t ()
+    t.ndead <- t.ndead + 1;
+    if t.ndead > t.nlive then rebuild_indexes t ()
   end
 
 let[@tail_mod_cons] rec by_ids t = function
@@ -173,8 +179,8 @@ let demand_index_min_clauses = 8
 (* Just-in-time argument indexing (see [lookup] in the interface). The
    first bound argument has no single-field index yet, or that index
    would have served the call. Appended after the declared indexes, so
-   those keep their priority; [index_insert] and [remove] keep it up to
-   date, and [rebuild_indexes] drops it. *)
+   those keep their priority; [index_insert] keeps it up to date, and
+   [rebuild_indexes] drops it. *)
 let demand_index t call_args =
   let rec first_bound i =
     if i >= t.arity then None

@@ -69,7 +69,9 @@ val assertz : t -> head:Term.t -> body:Term.t -> clause
 val asserta : t -> head:Term.t -> body:Term.t -> clause
 
 val remove : t -> clause -> unit
-(** Retract one clause by identity. *)
+(** Retract one clause by identity, in O(1) amortized: the indexes keep
+    its id (lookups skip it) until retracted clauses outnumber live ones
+    and the indexes are rebuilt. *)
 
 val clause_count : t -> int
 
@@ -86,8 +88,9 @@ val lookup : t -> Term.t array -> clause list
     some argument is bound, the call first builds a single-field hash
     index on the first bound argument (just-in-time indexing). Such an
     index is kept up to date like a declared one until the next
-    {!set_index}; it is derived state: {!index_spec} does not report it,
-    and nothing persists it. *)
+    {!set_index}, or until retracted clauses outnumber live ones and
+    {!remove} rebuilds the indexes; it is derived state: {!index_spec}
+    does not report it, and nothing persists it. *)
 
 val demand_index_min_clauses : int
 (** A predicate needs more live clauses than this before a call builds

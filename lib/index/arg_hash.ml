@@ -50,14 +50,6 @@ let insert t id args =
       | Some cell -> cell := insert_sorted id !cell
       | None -> Key_tbl.add t.buckets key (ref [ id ]))
 
-let remove t id args =
-  match key_of_args t args with
-  | None -> t.catch_all <- List.filter (fun i -> i <> id) t.catch_all
-  | Some key -> (
-      match Key_tbl.find_opt t.buckets key with
-      | Some cell -> cell := List.filter (fun i -> i <> id) !cell
-      | None -> ())
-
 let usable t args = key_of_args t args <> None
 
 (* Merge two strictly-decreasing id lists into one increasing list. *)

@@ -28,9 +28,6 @@ val insert : t -> int -> Term.t array -> unit
 (** [insert t clause_id head_args] adds a clause (append position given
     by [clause_id], which must be increasing). *)
 
-val remove : t -> int -> Term.t array -> unit
-(** Remove a clause previously inserted with the same id and args. *)
-
 val lookup : t -> Term.t array -> int list option
 (** [lookup t call_args] returns candidate clause ids in increasing
     order, or [None] when some indexed call argument is unbound. *)

@@ -197,6 +197,38 @@ let cases =
         let bytes_per_clause = float_of_int (words * (Sys.word_size / 8)) /. float_of_int n in
         if bytes_per_clause > 160.0 then
           Alcotest.failf "%.1f B per clause, over the 160 B bound" bytes_per_clause);
+    t "retracting n clauses one at a time from a trie-indexed predicate is linear in n" `Quick
+      (fun () ->
+        (* a trie that were rebuilt per retracted clause would allocate
+           about n^2/2 clause insertions: some 10^8 words here *)
+        let n = 2_000 in
+        List.iter
+          (fun (name, spec) ->
+            let pred = Pred.create ~kind:Pred.Dynamic "p" 2 in
+            Pred.set_index pred spec;
+            let g i = Term.Struct ("g", [| Term.Int i |]) in
+            let clauses =
+              List.init n (fun i ->
+                  Pred.assertz pred
+                    ~head:(Term.Struct ("p", [| g i; Term.Struct ("f", [| Term.Int i |]) |]))
+                    ~body:(Term.Atom "true"))
+            in
+            let candidates i = List.length (Pred.lookup pred [| g i; Term.fresh_var () |]) in
+            let before = Gc.minor_words () in
+            List.iteri
+              (fun i c ->
+                Pred.remove pred c;
+                if i = n / 2 then begin
+                  check_int (name ^ ": a retracted clause is no candidate") 0 (candidates 7);
+                  check_int (name ^ ": a live clause still is") 1 (candidates (n - 1))
+                end)
+              clauses;
+            let words = Gc.minor_words () -. before in
+            check_int (name ^ ": all retracted") 0 (Pred.clause_count pred);
+            if words > 200.0 *. float_of_int n then
+              Alcotest.failf "%s: %.0f minor words to retract %d clauses, over %d per clause" name
+                words n 200)
+          [ ("first-string", Pred.First_string_index); ("disc", Pred.Disc_tree_index) ]);
   ]
 
 (* The clause store against a list model: [asserta] prepends with id

@@ -57,12 +57,6 @@ let cases =
         Arg_hash.insert idx 1 (args_of "p(f(b))");
         check_ints "same outer symbol" [ 0; 1 ]
           (Option.get (Arg_hash.lookup idx (args_of "p(f(a))"))));
-    t "arg_hash remove" `Quick (fun () ->
-        let idx = Arg_hash.create [ 1 ] in
-        Arg_hash.insert idx 0 (args_of "p(a)");
-        Arg_hash.insert idx 1 (args_of "p(a)");
-        Arg_hash.remove idx 0 (args_of "p(a)");
-        check_ints "removed" [ 1 ] (Option.get (Arg_hash.lookup idx (args_of "p(a)"))));
     t "arg_hash order preserved with asserta ids" `Quick (fun () ->
         let idx = Arg_hash.create [ 1 ] in
         Arg_hash.insert idx 0 (args_of "p(a)");

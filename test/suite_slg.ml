@@ -484,7 +484,10 @@ let extra_cases =
         check_int "p(_,3)" ((n / 50) + (n / 10)) (Session.count s "p(_,3)");
         (* minor-word bounds: a walk that copies every head before
            unifying allocates about 1.2M words for the second call and
-           0.9M for the third, which removes nothing *)
+           0.9M for the third, which removes nothing; an index that
+           filters its bucket per retracted clause allocates about 6.7M
+           for the first, which retracts 2,400 clauses (2,000 of them
+           from the index's catch-all list) *)
         List.iter
           (fun (k, bound) ->
             let before = Gc.minor_words () in
@@ -498,7 +501,7 @@ let extra_cases =
                 if words > bound then
                   Alcotest.failf "retractall(p(_,%d)): %.0f minor words > %.0f" k words bound)
               bound)
-          [ (7, None); (8, Some 600_000.); (8, Some 50_000.) ]);
+          [ (7, Some 600_000.); (8, Some 600_000.); (8, Some 50_000.) ]);
     t "tabled predicates with compound answers" `Quick (fun () ->
         let s =
           session
