@@ -5,26 +5,35 @@ open Xsb_term
    terminal node in a trie built over these strings. *)
 type tok = TVar of int | TAtom of string | TInt of int | TFloat of float | TStruct of string * int
 
-module Tok_tbl = Hashtbl.Make (struct
+module Tok = struct
   type t = tok
 
-  let equal (a : t) (b : t) = a = b
-  let hash (t : t) = Hashtbl.hash t
-end)
+  let equal (a : t) (b : t) =
+    match (a, b) with
+    | TVar m, TVar n -> Int.equal m n
+    | TInt i, TInt j -> Int.equal i j
+    | TAtom x, TAtom y -> String.equal x y
+    | TFloat x, TFloat y -> Float.equal x y
+    | TStruct (f, m), TStruct (g, n) -> Int.equal m n && String.equal f g
+    | _ -> false
 
-let tokens answer =
-  let acc = ref [] in
-  let rec go = function
-    | Canon.CVar n -> acc := TVar n :: !acc
-    | Canon.CAtom a -> acc := TAtom a :: !acc
-    | Canon.CInt i -> acc := TInt i :: !acc
-    | Canon.CFloat x -> acc := TFloat x :: !acc
-    | Canon.CStruct (f, args) ->
-        acc := TStruct (f, Array.length args) :: !acc;
-        Array.iter go args
-  in
-  go answer;
-  List.rev !acc
+  let hash = function
+    | TVar n -> -1 - n
+    | TInt i -> i
+    | TAtom s -> Hashtbl.hash s
+    | TFloat x -> Hashtbl.hash x
+    | TStruct (f, n) -> Hashtbl.hash f + n
+end
+
+module Tok_tbl = Hashtbl.Make (Tok)
+
+(* the token that opens a canonical subterm *)
+let tok_of = function
+  | Canon.CVar n -> TVar n
+  | Canon.CAtom a -> TAtom a
+  | Canon.CInt i -> TInt i
+  | Canon.CFloat x -> TFloat x
+  | Canon.CStruct (f, args) -> TStruct (f, Array.length args)
 
 (* arity of the subterm a token opens: how many further subterms must be
    consumed before this one is complete *)
@@ -32,32 +41,43 @@ let opens = function TVar _ | TAtom _ | TInt _ | TFloat _ -> 0 | TStruct (_, n) 
 
 module Index = struct
   (* Discrimination trie over the pre-order token string of the canonical
-     answer: variables are tokens too, so each answer template has
-     exactly one terminal node, and storage and index are one structure.
-     Each terminal keeps a payload per answer *clause* (the same template
-     can be stored several times, e.g. under different delay lists), and
+     key (the machine's: an answer's substitution): variables are tokens
+     too, so each key has exactly one terminal node, and storage and
+     index are one structure. Each terminal keeps a payload per answer
+     *clause* (the same key can be stored several times, e.g. under
+     different delay lists), and
      the trie supports retrieval by the bound-argument skeleton of a
      call: [lookup] walks only the branches whose token prefix can unify
      with the skeleton, so a bound call retrieves candidates without
      scanning the whole table (paper §4.5). *)
-  type 'a node = {
-    mutable entries : (int * 'a) list;  (* in reverse insertion order *)
+  type node = {
+    mutable entries : int list;
+        (* insertion positions of the entries stored here, newest first *)
     mutable latest : int;
         (* time stamp: the largest insertion position anywhere in this
            subtree, [-1] when empty.  Lets a stamped retrieval skip whole
            branches that hold nothing newer than the consumer's last
            poll. *)
-    mutable children : 'a node Tok_tbl.t option;
-        (* made on the first child: most nodes of an answer trie are
-           terminals without children, and an empty table would cost each
-           of them a 16-bucket array *)
+    mutable children : children;
   }
 
-  type 'a t = { root : 'a node; order : 'a Vec.t }
+  (* Most nodes of an answer trie are terminals or have one child (a
+     list's cells, a ground argument): a table, with its 16-bucket array,
+     is made only for a second child. *)
+  and children = Leaf | One of tok * node | Many of node Tok_tbl.t
 
-  let fresh_node () = { entries = []; latest = -1; children = None }
+  type 'a t = {
+    root : node;
+    order : 'a Vec.t;
+    mutable path : node array;
+    mutable depth : int;
+        (* scratch for [insert]: the nodes of the path it walks, whose
+           time stamps it raises only once the insertion is accepted, and
+           how many of them it has recorded *)
+  }
 
-  let create ?size_hint:_ () = { root = fresh_node (); order = Vec.create () }
+  let fresh_node () = { entries = []; latest = -1; children = Leaf }
+  let create () = { root = fresh_node (); order = Vec.create (); path = [||]; depth = 0 }
 
   let size t = Vec.length t.order
   let get t i = Vec.get t.order i
@@ -65,62 +85,105 @@ module Index = struct
   let fold_left f acc t = Vec.fold_left f acc t.order
 
   let child node tok =
-    match node.children with Some tbl -> Tok_tbl.find_opt tbl tok | None -> None
+    match node.children with
+    | Leaf -> None
+    | One (t, c) -> if Tok.equal t tok then Some c else None
+    | Many tbl -> Tok_tbl.find_opt tbl tok
+
+  let add_child node tok =
+    let c = fresh_node () in
+    (match node.children with
+    | Leaf -> node.children <- One (tok, c)
+    | One (t, c0) ->
+        let tbl = Tok_tbl.create 4 in
+        Tok_tbl.add tbl t c0;
+        Tok_tbl.add tbl tok c;
+        node.children <- Many tbl
+    | Many tbl -> Tok_tbl.add tbl tok c);
+    c
 
   let child_or_add node tok =
-    let tbl =
-      match node.children with
-      | Some tbl -> tbl
-      | None ->
-          let tbl = Tok_tbl.create 4 in
-          node.children <- Some tbl;
-          tbl
-    in
-    match Tok_tbl.find_opt tbl tok with
-    | Some child -> child
-    | None ->
-        let child = fresh_node () in
-        Tok_tbl.add tbl tok child;
-        child
+    match node.children with
+    | Leaf -> add_child node tok
+    | One (t, c) -> if Tok.equal t tok then c else add_child node tok
+    | Many tbl -> ( match Tok_tbl.find_opt tbl tok with Some c -> c | None -> add_child node tok)
 
-  let iter_children f node = Option.iter (Tok_tbl.iter f) node.children
+  let iter_children f node =
+    match node.children with Leaf -> () | One (t, c) -> f t c | Many tbl -> Tok_tbl.iter f tbl
 
   let fold_children f node acc =
-    match node.children with Some tbl -> Tok_tbl.fold f tbl acc | None -> acc
+    match node.children with
+    | Leaf -> acc
+    | One (t, c) -> f t c acc
+    | Many tbl -> Tok_tbl.fold f tbl acc
 
-  (* One walk to the terminal of [key], making the path as it goes. A
-     path made here ends in an empty terminal, so [absorbed] can only
-     refuse an insertion whose path already existed; an accepted one
-     raises the time stamps of the whole path on the way back. *)
+  (* the entries of a node with insertion position [>= from], newest
+     first, consed onto [acc] *)
+  let entries_from t ~from node acc =
+    List.fold_left
+      (fun acc i -> if i >= from then (i, Vec.get t.order i) :: acc else acc)
+      acc node.entries
+
+  let record_path t node =
+    let d = t.depth in
+    if d = Array.length t.path then begin
+      let path = Array.make (max 16 (2 * d)) node in
+      Array.blit t.path 0 path 0 d;
+      t.path <- path
+    end;
+    t.path.(d) <- node;
+    t.depth <- d + 1
+
+  (* The walk of [c] from [node] in token order, making the path as it
+     goes and recording it; returns the node the walk ends at. *)
+  let rec descend t node c =
+    let next = child_or_add node (tok_of c) in
+    record_path t next;
+    match c with
+    | Canon.CStruct (_, args) -> descend_args t next args 0
+    | _ -> next
+
+  and descend_args t node args i =
+    if i = Array.length args then node else descend_args t (descend t node args.(i)) args (i + 1)
+
+  let rec absorbed_in t absorbed = function
+    | [] -> false
+    | i :: rest -> absorbed (Vec.get t.order i) || absorbed_in t absorbed rest
+
+  (* One walk to the terminal of [key]. A path made here ends in an empty
+     terminal, so [absorbed] can only refuse an insertion whose path
+     already existed; an accepted one raises the time stamps of the whole
+     path. *)
   let insert t key ~absorbed payload =
-    let pos = Vec.length t.order in
-    let rec go node = function
-      | [] ->
-          if List.exists (fun (_, x) -> absorbed x) node.entries then false
-          else begin
-            node.entries <- (pos, payload) :: node.entries;
-            node.latest <- pos;
-            true
-          end
-      | tok :: rest ->
-          let fresh = go (child_or_add node tok) rest in
-          if fresh then node.latest <- pos;
-          fresh
-    in
-    if go t.root (tokens key) then begin
+    t.depth <- 0;
+    let terminal = descend t t.root key in
+    if absorbed_in t absorbed terminal.entries then None
+    else begin
+      let pos = Vec.length t.order in
+      terminal.entries <- pos :: terminal.entries;
+      t.root.latest <- pos;
+      for i = 0 to t.depth - 1 do
+        t.path.(i).latest <- pos
+      done;
       Vec.push t.order payload;
       Some pos
     end
-    else None
 
   let add t key payload = Option.get (insert t key ~absorbed:(fun _ -> false) payload)
 
   let find t key =
-    let rec go node = function
-      | [] -> List.rev_map snd node.entries
-      | tok :: rest -> ( match child node tok with Some c -> go c rest | None -> [])
+    let rec descend node c =
+      match node with
+      | None -> None
+      | Some node -> (
+          let next = child node (tok_of c) in
+          match c with
+          | Canon.CStruct (_, args) -> Array.fold_left descend next args
+          | _ -> next)
     in
-    go t.root (tokens key)
+    match descend (Some t.root) key with
+    | Some terminal -> List.rev_map (Vec.get t.order) terminal.entries
+    | None -> []
 
   (* all nodes reachable from [node] by consuming exactly [k] whole
      stored subterms (used when the skeleton has a variable); branches
@@ -138,7 +201,7 @@ module Index = struct
     let rec go node agenda =
       if node.latest >= from then
         match agenda with
-        | [] -> List.iter (fun (i, x) -> if i >= from then acc := (i, x) :: !acc) node.entries
+        | [] -> acc := entries_from t ~from node !acc
         | q :: rest -> (
             match q with
             | Canon.CVar _ ->
@@ -183,21 +246,24 @@ module Index = struct
     in
     let total = ref 0 in
     let rec node n =
-      (* the node record and one cons + pair per entry *)
-      total := !total + (4 * word) + (List.length n.entries * 6 * word);
-      match n.children with
-      | None -> ()
-      | Some tbl ->
-          (* the option block, then the table; its bucket cells are the edges *)
-          total := !total + (2 * word) + Canon.hashtbl_bytes (Tok_tbl.length tbl);
-          Tok_tbl.iter
-            (fun tok child ->
-              total := !total + tok_bytes tok;
-              node child)
-            tbl
+      (* the node record and one cons cell per entry *)
+      total := !total + (4 * word) + (List.length n.entries * 3 * word);
+      (match n.children with
+      | Leaf -> ()
+      | One _ -> total := !total + (3 * word)
+      | Many tbl ->
+          (* the constructor block, then the table; its bucket cells are
+             the edges *)
+          total := !total + (2 * word) + Canon.hashtbl_bytes (Tok_tbl.length tbl));
+      iter_children
+        (fun tok child ->
+          total := !total + tok_bytes tok;
+          node child)
+        n
     in
     node t.root;
-    total := !total + (4 * word) + (Vec.capacity t.order * word);
+    (* the index record, the order vector and the path scratch *)
+    total := !total + (9 * word) + ((Vec.capacity t.order + Array.length t.path) * word);
     Vec.iter (fun p -> total := !total + payload_bytes p) t.order;
     !total
 
@@ -211,7 +277,7 @@ module Index = struct
     let acc = ref [] in
     let rec go node bindings agenda =
       match agenda with
-      | [] -> acc := List.rev_append node.entries !acc
+      | [] -> acc := entries_from t ~from:0 node !acc
       | q :: rest ->
           (* a stored variable generalizes the whole probe subterm,
              consistently across repeated occurrences *)

@@ -15,14 +15,17 @@
     token prefix can unify instead of scanning the whole table. Entries
     carry an arbitrary payload ['a] (the machine stores its answer
     records); the same key may hold several entries — the machine keeps
-    one per (template, delay list) answer clause. *)
+    one per (substitution, delay list) answer clause. The machine's keys
+    are substitution factors (Swift & Warren): the bindings of the
+    subgoal's variables, wrapped in one struct, so the call's bound
+    arguments are stored once, in the subgoal, not in every answer. *)
 
 open Xsb_term
 
 module Index : sig
   type 'a t
 
-  val create : ?size_hint:int -> unit -> 'a t
+  val create : unit -> 'a t
 
   val size : 'a t -> int
   (** Number of entries (answer clauses, not distinct templates). *)
@@ -69,9 +72,10 @@ module Index : sig
 
   val footprint : ('a -> int) -> 'a t -> int
   (** [footprint payload_bytes t]: estimated heap bytes of the whole
-      index — trie nodes, their child tables (made on a node's first
-      child) and edges with their token payloads, entry cells, the
-      insertion-order vector, and every stored payload through
+      index — trie nodes, their child tables (made on a node's second
+      child; a single child is held inline) and edges with their token
+      payloads, entry cells, the insertion-order vector and insertion
+      scratch, and every stored payload through
       [payload_bytes]. An estimate on the same model as
       [Canon.size_bytes], for table-space accounting. *)
 

@@ -44,43 +44,31 @@ let stop_hit b = match b.stop with Some f -> f () | None -> false
 let ending b count =
   if limit_hit b count then `Truncated else if stop_hit b then `Timeout else `Answers
 
-(* One answer of a query, in place in its table. [key] is the table's
-   subgoal, whose i-th variable (by first occurrence) is the goal's i-th
-   variable, named [names.(i)]; for a query table the key is
+(* One answer of a query, in place in its table. The answer's
+   substitution binds the table key's variables in first-occurrence
+   order, which is the goal's variable order, so binding [i] is the
+   goal's variable [names.(i)]; for a query table the key is
    [$queryN(V0,..,Vn)]. One record serves every answer of a query. *)
-type row = { names : string array; key : Canon.t; mutable answer : Machine.answer }
+type row = { names : string array; mutable answer : Machine.answer }
 
 let row_conditional r = r.answer.Machine.a_delays <> []
-let row_vars r = Canon.nvars r.answer.Machine.a_template
 
-(* One walk of the key [k] against the answer [x] finds every binding:
-   [f i name x'] at the first occurrence of the key's variable [i],
-   [x'] its binding. The key numbers its variables by first occurrence,
-   so the first unseen one is always [next], and the walk returns the
-   new [next]. *)
-let rec walk names f next k x =
-  match (k, x) with
-  | Canon.CVar i, _ when i = next ->
-      f i names.(i) x;
-      next + 1
-  | Canon.CStruct (_, ks), Canon.CStruct (_, xs) -> walk_args names f next ks xs 0
-  | _ -> next
+let row_vars r =
+  let subst = r.answer.Machine.a_subst and n = ref 0 in
+  for i = 0 to Array.length subst - 1 do
+    n := max !n (Canon.nvars subst.(i))
+  done;
+  !n
 
-and walk_args names f next ks xs j =
-  if j = Array.length ks then next
-  else walk_args names f (walk names f next ks.(j) xs.(j)) ks xs (j + 1)
-
-let row_bindings r f = ignore (walk r.names f 0 r.key r.answer.Machine.a_template)
+let row_bindings r f =
+  let subst = r.answer.Machine.a_subst in
+  for i = 0 to Array.length subst - 1 do
+    f i r.names.(i) subst.(i)
+  done
 
 (* the row as live terms, fresh variables shared across its bindings *)
 let row_solution r =
-  let slots = Array.make (Array.length r.names) r.key in
-  row_bindings r (fun i _ x -> slots.(i) <- x);
-  let args =
-    match Canon.to_term (Canon.CStruct ("", slots)) with
-    | Term.Struct (_, args) -> args
-    | _ -> [||]
-  in
+  let args = Canon.to_terms r.answer.Machine.a_subst in
   {
     bindings = List.init (Array.length args) (fun i -> (r.names.(i), args.(i)));
     conditional = row_conditional r;
@@ -94,7 +82,7 @@ let emit_rows names sub more emit =
   let store = sub.Machine.s_store and n = Machine.answer_count sub in
   if n = 0 then 0
   else
-    let row = { names; key = sub.Machine.skey; answer = Xsb_index.Answer_store.Index.get store 0 } in
+    let row = { names; answer = Xsb_index.Answer_store.Index.get store 0 } in
     let rec go i =
       if
         i < n && more i
@@ -358,7 +346,7 @@ let tables t =
     (fun key (sub : Machine.subgoal) acc ->
       let answers =
         Machine.fold_answers
-          (fun acc (a : Machine.answer) -> a.Machine.a_template :: acc)
+          (fun acc a -> Machine.answer_template sub a :: acc)
           [] sub
         |> List.rev
       in

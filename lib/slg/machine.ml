@@ -70,10 +70,15 @@ let compare_delay d1 d2 =
 
 let compare_delays = List.compare compare_delay
 
-type answer = { mutable a_template : Canon.t; mutable a_delays : delay list }
-(* [a_template] is mutable for answer subsumption only: folding a better
-   value into an existing answer rewrites the stored template in place,
-   so consumers resumed afterwards see the improved value *)
+type answer = { mutable a_subst : Canon.t array; a_delays : delay list }
+(* An answer is its substitution factor (Swift & Warren): [a_subst.(i)]
+   binds the subgoal key's variable [i], in first-occurrence order, and
+   numbers its own variables by first occurrence across the tuple. The
+   call's bound arguments live once, in the key; [answer_template]
+   rebuilds the whole instance. [a_subst] is mutable for answer
+   subsumption only: folding a better value into an existing answer
+   rewrites it in place, so consumers resumed afterwards see the
+   improved value *)
 
 type sstate = Incomplete | Complete
 
@@ -112,11 +117,15 @@ type subgoal = {
   mutable s_stale : bool;
       (* completed, but a repairable mutation has happened since: must be
          re-derived in place before the next query reads it *)
-  s_seen_raw : unit Canon.Tbl.t;
-      (* subsumptive only: raw answers already folded, so re-derivations
-         through value cycles terminate *)
-  s_agg : (int * answer) Canon.Tbl.t;
-      (* subsumptive only: key columns -> (position, holder answer) *)
+  s_lattice : lattice option;  (* answer-subsumptive tables only *)
+}
+
+and lattice = {
+  l_op : Subsumption.op;
+  l_seen : unit Canon.Tbl.t;
+      (* raw answers already folded, so re-derivations through value
+         cycles terminate *)
+  l_holders : (int * answer) Canon.Tbl.t;  (* key columns -> (position, holder answer) *)
 }
 
 and consumer = {
@@ -127,11 +136,27 @@ and consumer = {
   mutable c_consumed : int;
   mutable c_scheduled : bool;  (* a Drain task is already queued *)
   c_filter : Canon.t option;
-      (* call subsumption: [Some skel] marks a *subsumed* consumer — its
+      (* call subsumption: [Some probe] marks a *subsumed* consumer — its
          call is a proper instance of the producer's subgoal, so a drain
-         probes the time-stamped answer index with [skel] (from the
-         consumer's last-poll stamp) instead of walking every answer;
+         probes the time-stamped answer index with [probe] (the call in
+         the producer's substitution space, see [probe_of]) from the
+         consumer's last-poll stamp instead of walking every answer;
          unification with the snapshot call filters the candidates *)
+  mutable c_live : live option;
+      (* the snapshot opened into live terms at the first resumption and
+         reused by every later one: an answer binds [l_args] on the
+         trail, the continuation runs, and the undo unbinds them *)
+  mutable c_busy : bool;
+      (* a resumption is running on [c_live]; a nested one opens a fresh
+         copy of the snapshot instead *)
+}
+
+and live = {
+  l_args : Term.t array;
+      (* the call's subterms at the first occurrences of the table key's
+         variables: the places an answer's substitution binds *)
+  l_goals : Term.t list;
+  l_template : Term.t;
 }
 
 type waiter_kind = Wneg | Wgoal
@@ -435,6 +460,32 @@ let open_susp snapshot =
       | None -> error "corrupt suspension snapshot")
   | _ -> error "corrupt suspension snapshot"
 
+let open_live consumer =
+  let call, goals, template = open_susp consumer.c_snapshot in
+  { l_args = Canon.factor_term consumer.c_table.skey call; l_goals = goals; l_template = template }
+
+(* ------------------------------------------------------------------ *)
+(* Answers as substitutions *)
+
+(* the answer trie's key for a substitution: its bindings as the
+   arguments of one struct *)
+let subst_key subst = Canon.CStruct ("", subst)
+
+let answer_template sub a = Canon.instantiate sub.skey a.a_subst
+
+(* [skel], an instance of [sub]'s key, as an answer-trie probe *)
+let probe_of sub skel =
+  match Canon.factor sub.skey skel with
+  | Some tuple -> subst_key tuple
+  | None -> error "%s is not an instance of its table's key" (key_str skel)
+
+(* Unify the places [args] with an answer's substitution, rebuilt with
+   fresh variables shared across the tuple. *)
+let unify_subst trail args subst =
+  let terms = Canon.to_terms subst in
+  let rec go i = i = Array.length args || (Unify.unify trail args.(i) terms.(i) && go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Tables *)
 
@@ -456,7 +507,7 @@ let create_table ev key pred_key =
       s_pred = pred_key;
       s_state = Incomplete;
       s_owner_eval = ev.e_id;
-      s_store = Answer_index.create ~size_hint:16 ();
+      s_store = Answer_index.create ();
       s_uncond = 0;
       s_consumers = [];
       s_deps = [];
@@ -466,8 +517,11 @@ let create_table ev key pred_key =
       s_dyn_reads = [];
       s_neg_dep = false;
       s_stale = false;
-      s_seen_raw = Canon.Tbl.create 4;
-      s_agg = Canon.Tbl.create 4;
+      s_lattice =
+        (match mode with
+        | Pred.Subsumptive l_op ->
+            Some { l_op; l_seen = Canon.Tbl.create 4; l_holders = Canon.Tbl.create 4 }
+        | _ -> None);
     }
   in
   Canon.Tbl.replace env.tables key sub;
@@ -513,16 +567,6 @@ let remove_tables_for env pred_key =
   List.length doomed
 
 let has_unconditional sub = sub.s_uncond > 0
-
-let template_unconditional sub template =
-  match (sub.s_mode, Subsumption.split template) with
-  | Pred.Subsumptive _, Some (k, _) -> (
-      (* folding rewrites a holder's template in place, leaving it on the
-         trie path of the template it was first stored under *)
-      match Canon.Tbl.find_opt sub.s_agg k with
-      | Some (_, holder) -> Canon.equal holder.a_template template
-      | None -> false)
-  | _ -> List.exists (fun a -> a.a_delays = []) (Answer_index.find sub.s_store template)
 
 let answer_count sub = Answer_index.size sub.s_store
 let has_any_answer sub = answer_count sub > 0
@@ -727,7 +771,7 @@ and resolve_waiters ev =
   in
   let failed, blocked =
     List.partition
-      (fun w -> w.w_kind = Wneg && template_unconditional w.w_table w.w_table.skey)
+      (fun w -> w.w_kind = Wneg && has_unconditional w.w_table)
       blocked
   in
   ev.e_waiters <- blocked;
@@ -884,7 +928,7 @@ let delay_bytes = function
 
 let answer_bytes a =
   (3 * word)
-  + Canon.size_bytes a.a_template
+  + Canon.tuple_bytes a.a_subst
   + List.fold_left (fun acc d -> acc + (3 * word) + delay_bytes d) 0 a.a_delays
 
 (* a [Canon.Tbl]: the table itself plus its keys; values are unboxed or
@@ -899,9 +943,12 @@ let table_bytes sub =
   + ((List.length sub.s_deps + List.length sub.s_dyn_reads) * 3 * word)
   + Canon.size_bytes sub.skey
   + Answer_index.footprint answer_bytes sub.s_store
-  + canon_tbl_bytes sub.s_seen_raw
-  + canon_tbl_bytes sub.s_agg
-  + (Canon.Tbl.length sub.s_agg * 3 * word)  (* (position, holder) pairs *)
+  +
+  match sub.s_lattice with
+  | None -> 0
+  | Some l ->
+      (5 * word) + canon_tbl_bytes l.l_seen + canon_tbl_bytes l.l_holders
+      + (Canon.Tbl.length l.l_holders * 3 * word)  (* (position, holder) pairs *)
 
 let table_space_bytes env =
   Canon.Tbl.fold (fun _ sub acc -> acc + table_bytes sub) env.tables 0
@@ -977,7 +1024,7 @@ let pp_table_dump ppf env =
         (table_bytes sub);
       iter_answers
         (fun a ->
-          Fmt.pf ppf "  %s%s@." (key_str a.a_template)
+          Fmt.pf ppf "  %s%s@." (key_str (answer_template sub a))
             (if a.a_delays = [] then "" else " (conditional)"))
         sub)
     tables
@@ -1153,7 +1200,7 @@ and solve_struct ev ~det ~owner ~template ~delays ~barrier name args goal rest =
             List.iter
               (fun (a : answer) ->
                 let m2 = Trail.mark env.trail in
-                if Unify.unify env.trail r (Canon.to_term a.a_template) then next rest;
+                if Unify.unify env.trail r (Canon.to_term (answer_template sub a)) then next rest;
                 Trail.undo_to env.trail m2)
               answers;
           Trail.undo_to env.trail m)
@@ -1324,28 +1371,27 @@ and consume_inline ev ~det ~owner ~template ~delays ~barrier ~skel sub goal rest
      a mutation, [owner]'s table is transitively affected *)
   if owner != sub then add_dep ev owner sub;
   if sub.s_neg_dep then owner.s_neg_dep <- true;
+  let args = Canon.factor_term sub.skey goal in
   let each a =
     let m = Trail.mark env.trail in
-    let instance = Canon.to_term a.a_template in
     let delays' =
       if a.a_delays = [] then delays
       else begin
         owner.s_neg_dep <- true;
-        Dpos (sub.skey, a.a_template) :: delays
+        Dpos (sub.skey, answer_template sub a) :: delays
       end
     in
-    if Unify.unify env.trail goal instance then
+    if unify_subst env.trail args a.a_subst then
       continue ev ~det ~owner ~template ~delays:delays' ~barrier rest;
     Trail.undo_to env.trail m
   in
   let n = answer_count sub in
   env.stats.st_answer_probes <- env.stats.st_answer_probes + 1;
   env.stats.st_answer_full_size <- env.stats.st_answer_full_size + n;
-  let subsumptive = match sub.s_mode with Pred.Subsumptive _ -> true | _ -> false in
   (* subsumptive tables scan in full even for bound calls: in-place
-     folding leaves the answer trie keyed by superseded templates, so
-     the index cannot be trusted — unification filters instead *)
-  if subsumptive || Canon.equal skel sub.skey then begin
+     folding leaves the answer trie keyed by superseded substitutions,
+     so the index cannot be trusted — unification filters instead *)
+  if is_subsumptive sub || Canon.equal skel sub.skey then begin
     env.stats.st_answer_candidates <- env.stats.st_answer_candidates + n;
     let rec loop i =
       if i < n then begin
@@ -1356,7 +1402,7 @@ and consume_inline ev ~det ~owner ~template ~delays ~barrier ~skel sub goal rest
     loop 0
   end
   else begin
-    let candidates = Answer_index.lookup sub.s_store skel in
+    let candidates = Answer_index.lookup sub.s_store (probe_of sub skel) in
     env.stats.st_answer_candidates <- env.stats.st_answer_candidates + List.length candidates;
     List.iter (fun (_, a) -> each a) candidates
   end
@@ -1375,7 +1421,9 @@ and register_consumer ?filter ev sub ~owner ~template ~delays goal rest =
       c_delays = delays;
       c_consumed = 0;
       c_scheduled = false;
-      c_filter = filter;
+      c_filter = Option.map (probe_of sub) filter;
+      c_live = None;
+      c_busy = false;
     }
   in
   sub.s_consumers <- consumer :: sub.s_consumers;
@@ -1539,7 +1587,7 @@ and solve_tnot ev ~det ~owner ~template ~delays ~barrier ~existential g rest =
     in
     match find_table env key with
     | Some sub when sub.s_state = Complete -> decide sub
-    | Some sub when template_unconditional sub key ->
+    | Some sub when has_unconditional sub ->
         (* the positive subgoal already has an unconditional answer: the
            negation fails now, completion not needed *)
         ()
@@ -1596,23 +1644,24 @@ and suspend_waiter ev ~kind ~owner ~template ~delays sub blocked rest =
 (* Answers *)
 
 and emit_answer ev owner template delays =
-  let key = Canon.of_term template in
+  let subst = Canon.of_terms (Canon.factor_term owner.skey template) in
   (* delay lists are sets: normalize so duplicate answer clauses are
      detected and lists stay bounded through cycles *)
   let delays = List.sort_uniq compare_delay delays in
-  match owner.s_mode with
-  | Pred.Subsumptive op when delays = [] -> emit_subsumptive ev owner key op
-  | _ -> emit_plain ev owner key delays
+  match owner.s_lattice with
+  | Some lattice when delays = [] -> emit_subsumptive ev owner lattice subst
+  | _ -> emit_plain ev owner subst delays
 
-and note_dup_answer ev owner key =
+and note_dup_answer ev owner subst =
   let env = ev.e_env in
   env.stats.st_dup_answers <- env.stats.st_dup_answers + 1;
   if env.profiling then Counter.incr (prof env owner.s_pred).dup_answers;
   if obs_on env then
-    emit_sub env ~depth:ev.e_depth owner Obs.Event.Dup_answer (key_str key)
+    emit_sub env ~depth:ev.e_depth owner Obs.Event.Dup_answer
+      (key_str (Canon.instantiate owner.skey subst))
 
 (* stats, drains and early termination common to every new answer *)
-and note_new_answer ev owner key =
+and note_new_answer ev owner subst =
   let env = ev.e_env in
   env.stats.st_answers <- env.stats.st_answers + 1;
   if env.profiling then begin
@@ -1620,75 +1669,86 @@ and note_new_answer ev owner key =
     Counter.incr h.answers;
     Xsb_obs.Metrics.Gauge.set_max h.peak_answers (float_of_int (answer_count owner))
   end;
-  if obs_on env then emit_sub env ~depth:ev.e_depth owner Obs.Event.Answer (key_str key);
+  if obs_on env then
+    emit_sub env ~depth:ev.e_depth owner Obs.Event.Answer
+      (key_str (Canon.instantiate owner.skey subst));
   schedule_drains ev owner;
   (* existential evaluations stop precisely at the answer that
      satisfies them (e_tnot's early termination, §4.4) *)
   match env.stop with Some stop when stop () -> raise Stop_eval | _ -> ()
 
-and emit_plain ev owner key delays =
+and emit_plain ev owner subst delays =
   if delays <> [] then owner.s_neg_dep <- true;
   (* an answer clause is a duplicate of one with the same delay list;
      an unconditional answer absorbs conditional ones for the same
-     template too (SLG simplification) — if it still has that template:
-     answer subsumption folds holders in place, off their trie path *)
+     substitution too (SLG simplification) — if it still has that
+     substitution: answer subsumption folds holders in place, off their
+     trie path *)
   let absorbed a =
     compare_delays a.a_delays delays = 0
-    || (a.a_delays = [] && Canon.equal a.a_template key)
+    || (a.a_delays = [] && Array.for_all2 Canon.equal a.a_subst subst)
   in
-  let answer = { a_template = key; a_delays = delays } in
-  match Answer_index.insert owner.s_store key ~absorbed answer with
-  | None -> note_dup_answer ev owner key
+  let answer = { a_subst = subst; a_delays = delays } in
+  match Answer_index.insert owner.s_store (subst_key subst) ~absorbed answer with
+  | None -> note_dup_answer ev owner subst
   | Some _ ->
       if delays = [] then owner.s_uncond <- owner.s_uncond + 1;
-      note_new_answer ev owner key
+      note_new_answer ev owner subst
 
 (* Answer subsumption: one stored answer per combination of key columns
    (all arguments but the last); a new answer with an already-seen key
    folds its value column into the holder under the lattice operation,
-   mutating the stored template in place and rewinding consumers that
-   had already passed it. Only unconditional answers fold; conditional
-   ones take the plain path. *)
-and emit_subsumptive ev owner key op =
-  let env = ev.e_env in
-  match Subsumption.split key with
-  | None -> emit_plain ev owner key []
+   rewriting the stored substitution in place and rewinding consumers
+   that had already passed it. Only unconditional answers fold;
+   conditional ones take the plain path. The columns are split on the
+   rebuilt template; a folded value that the call's own value argument
+   rules out (a count under a bound value) stores nothing, as no
+   consumer of the call could take it. *)
+and emit_subsumptive ev owner lattice subst =
+  let env = ev.e_env and op = lattice.l_op in
+  let raw = Canon.instantiate owner.skey subst in
+  match Subsumption.split raw with
+  | None -> emit_plain ev owner subst []
   | Some (k, v) ->
-      if Canon.Tbl.mem owner.s_seen_raw key then note_dup_answer ev owner key
+      if Canon.Tbl.mem lattice.l_seen raw then note_dup_answer ev owner subst
       else begin
-        Canon.Tbl.add owner.s_seen_raw key ();
+        Canon.Tbl.add lattice.l_seen raw ();
         let functor_name =
-          match key with Canon.CStruct (f, _) -> f | _ -> assert false
+          match raw with Canon.CStruct (f, _) -> f | _ -> assert false
         in
-        let lattice f =
+        let lattice_op f =
           try f ()
           with Subsumption.Not_numeric t ->
             error "subsumptive(%s) over a non-numeric value column: %s"
               (Subsumption.op_to_string op) (key_str t)
         in
-        match Canon.Tbl.find_opt owner.s_agg k with
-        | None ->
-            let v0 = lattice (fun () -> Subsumption.initial op v) in
-            let template = Subsumption.rebuild functor_name k v0 in
-            owner.s_uncond <- owner.s_uncond + 1;
-            let answer = { a_template = template; a_delays = [] } in
-            let pos = Answer_index.add owner.s_store template answer in
-            Canon.Tbl.replace owner.s_agg k (pos, answer);
-            note_new_answer ev owner template
+        let factor value = Canon.factor owner.skey (Subsumption.rebuild functor_name k value) in
+        match Canon.Tbl.find_opt lattice.l_holders k with
+        | None -> (
+            match factor (lattice_op (fun () -> Subsumption.initial op v)) with
+            | None -> note_dup_answer ev owner subst
+            | Some folded ->
+                owner.s_uncond <- owner.s_uncond + 1;
+                let answer = { a_subst = folded; a_delays = [] } in
+                let pos = Answer_index.add owner.s_store (subst_key folded) answer in
+                Canon.Tbl.replace lattice.l_holders k (pos, answer);
+                note_new_answer ev owner folded)
         | Some (pos, holder) -> (
             let current =
-              match Subsumption.split holder.a_template with
+              match Subsumption.split (answer_template owner holder) with
               | Some (_, c) -> c
               | None -> assert false
             in
-            match lattice (fun () -> Subsumption.fold op ~current v) with
-            | None -> note_dup_answer ev owner key  (* subsumed *)
-            | Some v' ->
-                let template = Subsumption.rebuild functor_name k v' in
-                holder.a_template <- template;
+            match
+              Option.bind (lattice_op (fun () -> Subsumption.fold op ~current v)) factor
+            with
+            | None -> note_dup_answer ev owner subst  (* subsumed *)
+            | Some folded ->
+                holder.a_subst <- folded;
                 env.stats.st_folds <- env.stats.st_folds + 1;
                 if obs_on env then
-                  emit_sub env ~depth:ev.e_depth owner Obs.Event.Fold (key_str template);
+                  emit_sub env ~depth:ev.e_depth owner Obs.Event.Fold
+                    (key_str (answer_template owner holder));
                 (* consumers that already passed the holder re-consume it
                    (and everything after it) with the improved value *)
                 List.iter
@@ -1737,7 +1797,7 @@ and run_task ev task =
       (* the loops re-read the size, so answers emitted mid-drain are
          consumed here rather than scheduling a redundant self-drain *)
       (match consumer.c_filter with
-      | Some skel ->
+      | Some probe ->
           (* subsumed consumer: [c_consumed] is its last-poll stamp.
              Probe the time-stamped index for candidates newer than the
              stamp — [iter_matching] snapshots its candidate list before
@@ -1749,7 +1809,7 @@ and run_task ev task =
             consumer.c_consumed <- n;
             env.stats.st_answer_probes <- env.stats.st_answer_probes + 1;
             env.stats.st_answer_full_size <- env.stats.st_answer_full_size + (n - from);
-            Answer_index.iter_matching ~from store skel (fun _ a ->
+            Answer_index.iter_matching ~from store probe (fun _ a ->
                 env.stats.st_answer_candidates <- env.stats.st_answer_candidates + 1;
                 resume_consumer ev consumer a)
           done
@@ -1774,34 +1834,59 @@ and run_task ev task =
       | Cut_signal _ -> error "cut outside its scope (cut over a table suspension?)");
       Trail.undo_to env.trail m
 
+(* Resume [consumer] with one answer, in place: the answer binds the
+   opened snapshot's call on the trail, the continuation runs, and the
+   undo — on every exit, exceptions included — leaves the snapshot
+   unbound for the next answer. A resumption that arrives while another
+   runs on the same consumer takes a fresh copy instead. *)
 and resume_consumer ev consumer answer =
   let env = ev.e_env in
+  let table = consumer.c_table in
   env.stats.st_resumptions <- env.stats.st_resumptions + 1;
   if obs_on env then
-    emit_sub env ~depth:ev.e_depth consumer.c_table Obs.Event.Resume
-      (key_str answer.a_template);
-  let m = Trail.mark env.trail in
-  let call, goals, template = open_susp consumer.c_snapshot in
-  let instance = Canon.to_term answer.a_template in
-  if consumer.c_table.s_neg_dep then consumer.c_owner.s_neg_dep <- true;
+    emit_sub env ~depth:ev.e_depth table Obs.Event.Resume (key_str (answer_template table answer));
+  if table.s_neg_dep then consumer.c_owner.s_neg_dep <- true;
   let delays =
     if answer.a_delays = [] then consumer.c_delays
     else begin
       consumer.c_owner.s_neg_dep <- true;
-      Dpos (consumer.c_table.skey, answer.a_template) :: consumer.c_delays
+      Dpos (table.skey, answer_template table answer) :: consumer.c_delays
     end
   in
+  let live, in_place =
+    match consumer.c_live with
+    | _ when consumer.c_busy -> (open_live consumer, false)
+    | Some live -> (live, true)
+    | None ->
+        let live = open_live consumer in
+        consumer.c_live <- Some live;
+        (live, true)
+  in
+  let m = Trail.mark env.trail in
   let b = fresh_barrier env in
-  (if Unify.unify env.trail call instance then begin
-     try solve ev ~det:false ~owner:consumer.c_owner ~template ~delays ~barrier:b goals with
-     | Cut_signal b' when b' = b -> ()
-     | Cut_signal _ -> error "cut outside its scope (cut over a table suspension?)"
-   end
-   else if consumer.c_filter <> None then
-     (* a subsumed consumer's filter rejected a producer answer (an
-        index candidate that does not unify with the specific call) *)
-     env.stats.st_answers_filtered <- env.stats.st_answers_filtered + 1);
-  Trail.undo_to env.trail m
+  let release () =
+    Trail.undo_to env.trail m;
+    if in_place then consumer.c_busy <- false
+  in
+  if in_place then consumer.c_busy <- true;
+  match
+    if unify_subst env.trail live.l_args answer.a_subst then begin
+      try
+        solve ev ~det:false ~owner:consumer.c_owner ~template:live.l_template ~delays ~barrier:b
+          live.l_goals
+      with
+      | Cut_signal b' when b' = b -> ()
+      | Cut_signal _ -> error "cut outside its scope (cut over a table suspension?)"
+    end
+    else if consumer.c_filter <> None then
+      (* a subsumed consumer's filter rejected a producer answer (an
+         index candidate that does not unify with the specific call) *)
+      env.stats.st_answers_filtered <- env.stats.st_answers_filtered + 1
+  with
+  | () -> release ()
+  | exception e ->
+      release ();
+      raise e
 
 (* Run an evaluation to fixpoint. [stop] is polled between tasks
    (existential early termination). *)

@@ -47,10 +47,13 @@ val compare_delay : delay -> delay -> int
 
 val compare_delays : delay list -> delay list -> int
 
-type answer = { mutable a_template : Canon.t; mutable a_delays : delay list }
-(** [a_template] is mutable for answer subsumption only: folding a
-    better value into an existing answer rewrites the stored template in
-    place. *)
+type answer = { mutable a_subst : Canon.t array; a_delays : delay list }
+(** An answer as its substitution factor: [a_subst.(i)] binds the
+    subgoal key's variable [i] (numbered by first occurrence), the
+    tuple's own variables numbered by first occurrence across it. The
+    whole instance is {!answer_template}. [a_subst] is mutable for answer
+    subsumption only: folding a better value into an existing answer
+    rewrites it in place. *)
 
 type sstate = Incomplete | Complete
 
@@ -81,10 +84,14 @@ type subgoal = {
           invalidate, never repair *)
   mutable s_stale : bool;
       (** completed but awaiting in-place repair (see {!repair_stale}) *)
-  s_seen_raw : unit Canon.Tbl.t;
-      (** subsumptive only: raw answers already folded *)
-  s_agg : (int * answer) Canon.Tbl.t;
-      (** subsumptive only: key columns -> (position, holder answer) *)
+  s_lattice : lattice option;  (** answer-subsumptive tables only *)
+}
+
+and lattice = {
+  l_op : Xsb_index.Answer_store.Subsumption.op;
+  l_seen : unit Canon.Tbl.t;  (** raw answers already folded *)
+  l_holders : (int * answer) Canon.Tbl.t;
+      (** key columns -> (position, holder answer) *)
 }
 
 and consumer = {
@@ -95,11 +102,26 @@ and consumer = {
   mutable c_consumed : int;
   mutable c_scheduled : bool;  (** a [Drain] task is already queued *)
   c_filter : Canon.t option;
-      (** call subsumption: [Some skel] marks a subsumed consumer, whose
+      (** call subsumption: [Some probe] marks a subsumed consumer, whose
           call is a proper instance of the producer's subgoal; drains
-          probe the producer's time-stamped answer index with [skel]
-          from the consumer's last-poll stamp and filter candidates by
+          probe the producer's time-stamped answer index with the call
+          mapped into the producer's substitution space, from the
+          consumer's last-poll stamp, and filter candidates by
           unification with the snapshot call *)
+  mutable c_live : live option;
+      (** the snapshot, opened into live terms at the first resumption
+          and resumed in place by every later one *)
+  mutable c_busy : bool;
+      (** a resumption is running on [c_live]; another one opens a fresh
+          copy *)
+}
+
+and live = {
+  l_args : Term.t array;
+      (** the call's subterms at the first occurrences of the table
+          key's variables, which an answer's substitution binds *)
+  l_goals : Term.t list;
+  l_template : Term.t;
 }
 
 type waiter_kind = Wneg | Wgoal
@@ -225,6 +247,10 @@ val find_table : env -> Canon.t -> subgoal option
 val has_unconditional : subgoal -> bool
 val has_any_answer : subgoal -> bool
 
+val answer_template : subgoal -> answer -> Canon.t
+(** The answer as an instance of the subgoal: its key with the
+    substitution applied. *)
+
 val answer_count : subgoal -> int
 val iter_answers : (answer -> unit) -> subgoal -> unit
 (** In insertion order. *)
@@ -250,7 +276,7 @@ val step : env -> unit
 (** {1 Table-space memory accounting}
 
     Estimated bytes on the {!Canon.size_bytes} model: answer tries
-    (nodes, edges, entries, answer templates and delay lists) plus the
+    (nodes, edges, entries, answer substitutions and delay lists) plus the
     per-table bookkeeping hashtables. Upper-bound estimates that track
     growth — the measurement substrate for table eviction; surfaced in
     [statistics/1] ([table_bytes], [call_index_bytes]), [table_dump/0]

@@ -5,40 +5,113 @@ type t =
   | CFloat of float
   | CStruct of string * t array
 
-let of_term term =
-  let numbering = Hashtbl.create 8 in
-  let rec go term =
-    match Term.deref term with
-    | Term.Atom a -> CAtom a
-    | Term.Int i -> CInt i
-    | Term.Float x -> CFloat x
-    | Term.Var v -> (
-        match Hashtbl.find_opt numbering v.Term.vid with
-        | Some n -> CVar n
-        | None ->
-            let n = Hashtbl.length numbering in
-            Hashtbl.add numbering v.Term.vid n;
-            CVar n)
-    | Term.Struct (f, args) -> CStruct (f, Array.map go args)
-  in
-  go term
+(* Variable numbering for [of_term], without a hashtable in the common
+   case: the ids seen so far, in first-occurrence order, found again by a
+   linear scan. Past [scan_limit] variables a hashtable takes over, so a
+   term with many variables stays linear. *)
+let scan_limit = 32
 
-let to_term c =
-  let fresh = Hashtbl.create 8 in
-  let rec go = function
-    | CAtom a -> Term.Atom a
-    | CInt i -> Term.Int i
-    | CFloat x -> Term.Float x
-    | CVar n -> (
-        match Hashtbl.find_opt fresh n with
-        | Some v -> v
-        | None ->
-            let v = Term.fresh_var () in
-            Hashtbl.add fresh n v;
-            v)
-    | CStruct (f, args) -> Term.Struct (f, Array.map go args)
+type numbering = {
+  mutable seen : int array;  (* vids by number; the first [count] are used *)
+  mutable count : int;
+  mutable table : (int, int) Hashtbl.t option;  (* past [scan_limit] only *)
+}
+
+let rec scan nb vid i =
+  if i = nb.count then -1 else if nb.seen.(i) = vid then i else scan nb vid (i + 1)
+
+let number nb vid =
+  let found =
+    match nb.table with
+    | Some tbl -> Option.value ~default:(-1) (Hashtbl.find_opt tbl vid)
+    | None -> scan nb vid 0
   in
-  go c
+  if found >= 0 then found
+  else begin
+    let n = nb.count in
+    if n = Array.length nb.seen then begin
+      let seen = Array.make (max 8 (2 * n)) 0 in
+      Array.blit nb.seen 0 seen 0 n;
+      nb.seen <- seen
+    end;
+    nb.seen.(n) <- vid;
+    nb.count <- n + 1;
+    (match nb.table with
+    | Some tbl -> Hashtbl.add tbl vid n
+    | None when n = scan_limit ->
+        let tbl = Hashtbl.create (4 * scan_limit) in
+        for i = 0 to n do
+          Hashtbl.add tbl nb.seen.(i) i
+        done;
+        nb.table <- Some tbl
+    | None -> ());
+    n
+  end
+
+let rec canon nb term =
+  match Term.deref term with
+  | Term.Atom a -> CAtom a
+  | Term.Int i -> CInt i
+  | Term.Float x -> CFloat x
+  | Term.Var v -> CVar (number nb v.Term.vid)
+  | Term.Struct (f, args) ->
+      let out = Array.make (Array.length args) (CInt 0) in
+      for i = 0 to Array.length args - 1 do
+        out.(i) <- canon nb args.(i)
+      done;
+      CStruct (f, out)
+
+let numbering () = { seen = [||]; count = 0; table = None }
+let of_term term = canon (numbering ()) term
+
+let of_terms terms =
+  let nb = numbering () in
+  let out = Array.make (Array.length terms) (CInt 0) in
+  for i = 0 to Array.length terms - 1 do
+    out.(i) <- canon nb terms.(i)
+  done;
+  out
+
+(* Fresh variables for [to_term], by number. Canonical terms number
+   their variables densely from 0, so the array grows one slot at a
+   time; [unset] marks a slot of a number not met yet. *)
+let unset = Term.Atom "$unset"
+
+type fresh = { mutable vars : Term.t array }
+
+let rec build fr = function
+  | CAtom a -> Term.Atom a
+  | CInt i -> Term.Int i
+  | CFloat x -> Term.Float x
+  | CVar n ->
+      if n >= Array.length fr.vars then begin
+        let vars = Array.make (max (n + 1) (2 * Array.length fr.vars)) unset in
+        Array.blit fr.vars 0 vars 0 (Array.length fr.vars);
+        fr.vars <- vars
+      end;
+      let v = fr.vars.(n) in
+      if v != unset then v
+      else begin
+        let v = Term.fresh_var () in
+        fr.vars.(n) <- v;
+        v
+      end
+  | CStruct (f, args) ->
+      let out = Array.make (Array.length args) unset in
+      for i = 0 to Array.length args - 1 do
+        out.(i) <- build fr args.(i)
+      done;
+      Term.Struct (f, out)
+
+let to_term c = build { vars = [||] } c
+
+let to_terms cs =
+  let fr = { vars = [||] } in
+  let out = Array.make (Array.length cs) unset in
+  for i = 0 to Array.length cs - 1 do
+    out.(i) <- build fr cs.(i)
+  done;
+  out
 
 let rec max_var acc = function
   | CVar n -> max acc (n + 1)
@@ -46,6 +119,57 @@ let rec max_var acc = function
   | CStruct (_, args) -> Array.fold_left max_var acc args
 
 let nvars c = max_var 0 c
+
+let rec instantiate key tuple =
+  match key with
+  | CVar i -> tuple.(i)
+  | CAtom _ | CInt _ | CFloat _ -> key
+  | CStruct (f, args) -> CStruct (f, Array.map (fun a -> instantiate a tuple) args)
+
+(* A canonical key meets its variable [i] for the first time exactly when
+   [i] variables have been met before, so the walks below fill the tuple
+   in order and compare repeated occurrences against the first. *)
+let factor key inst =
+  let tuple = Array.make (nvars key) (CInt 0) in
+  let next = ref 0 in
+  let rec go k x =
+    match (k, x) with
+    | CVar i, _ ->
+        if i = !next then begin
+          tuple.(i) <- x;
+          incr next;
+          true
+        end
+        else tuple.(i) = x
+    | CStruct (f, ks), CStruct (g, xs) ->
+        String.equal f g
+        && Array.length ks = Array.length xs
+        &&
+        let rec args j = j = Array.length ks || (go ks.(j) xs.(j) && args (j + 1)) in
+        args 0
+    | CAtom a, CAtom b -> String.equal a b
+    | CInt a, CInt b -> a = b
+    | CFloat a, CFloat b -> a = b
+    | _ -> false
+  in
+  if go key inst then Some tuple else None
+
+let factor_term key term =
+  let tuple = Array.make (nvars key) unset in
+  let rec go k x =
+    match k with
+    | CVar i -> if tuple.(i) == unset then tuple.(i) <- x
+    | CAtom _ | CInt _ | CFloat _ -> ()
+    | CStruct (_, ks) -> (
+        match Term.deref x with
+        | Term.Struct (_, xs) when Array.length xs = Array.length ks ->
+            for j = 0 to Array.length ks - 1 do
+              go ks.(j) xs.(j)
+            done
+        | _ -> invalid_arg "Canon.factor_term: not an instance of the key")
+  in
+  go key term;
+  tuple
 
 let rec is_ground = function
   | CVar _ -> false
@@ -101,6 +225,11 @@ let rec size_bytes = function
       (* the pair block + the args array + the functor name *)
       (3 * word) + ((Array.length args + 1) * word) + string_bytes f
       + Array.fold_left (fun acc a -> acc + size_bytes a) 0 args
+
+(* the array block and its elements; the empty array is a shared atom *)
+let tuple_bytes tuple =
+  if Array.length tuple = 0 then 0
+  else Array.fold_left (fun acc c -> acc + size_bytes c) ((1 + Array.length tuple) * word) tuple
 
 (* a stdlib hashtable of [n] bindings, keys and values aside: the record,
    the bucket array (16 buckets at least, doubled whenever the bindings

@@ -8,7 +8,8 @@ let of_tables engine =
     (fun _ (sub : Machine.subgoal) ->
       Machine.iter_answers
         (fun (a : Machine.answer) ->
-          if a.Machine.a_delays = [] then Ground.add_fact ground a.Machine.a_template
+          let template = Machine.answer_template sub a in
+          if a.Machine.a_delays = [] then Ground.add_fact ground template
           else
             let pos =
               List.filter_map
@@ -20,7 +21,7 @@ let of_tables engine =
                 (function Machine.Dneg k -> Some k | Machine.Dpos _ -> None)
                 a.Machine.a_delays
             in
-            Ground.add_rule ground a.Machine.a_template ~pos ~neg)
+            Ground.add_rule ground template ~pos ~neg)
         sub)
     env.Machine.tables;
   ground

@@ -348,6 +348,61 @@ let heap_cases =
         let ratio = float_of_int live /. float_of_int counted in
         if ratio < 0.75 || ratio > 1.25 then
           Alcotest.failf "live table heap %d B vs accounted %d B (ratio %.2f)" live counted ratio);
+    t "table bytes per answer of path(S,X) and app(X,Y,L), against the live heap" `Quick
+      (fun () ->
+        (* answers are stored as substitutions: path(S,X)'s table keeps
+           X, not S and X, and app(X,Y,[16 ints])'s keep the split, not
+           the list again. Measured: about 183 B per path/2 answer and
+           2,560 B per app/3 answer; storing whole templates, 273 B and
+           12,430 B *)
+        let nodes = 300 in
+        let st = Random.State.make [| 29 |] in
+        let edges =
+          List.init nodes (fun i -> (i + 1, ((i + 1) mod nodes) + 1))
+          @ List.init (2 * nodes) (fun _ ->
+                (1 + Random.State.int st nodes, 1 + Random.State.int st nodes))
+        in
+        let s = Xsb.Session.create () in
+        Xsb.Session.consult s
+          (":- table path/2.\n\
+            path(X,Y) :- edge(X,Y).\n\
+            path(X,Y) :- path(X,Z), edge(Z,Y).\n\
+            :- table app/3.\n\
+            app([],L,L).\n\
+            app([H|T],L,[H|R]) :- app(T,L,R).\n"
+          ^ String.concat "" (List.map (fun (a, b) -> Printf.sprintf "edge(%d,%d).\n" a b) edges));
+        let eng = Xsb.Session.engine s in
+        let env = Xsb.Engine.env eng in
+        List.iter
+          (fun (goal, pred, rows, bound) ->
+            Xsb.Engine.reset_tables eng;
+            check_int goal rows (Xsb.Session.count s goal);
+            let answers =
+              Xsb.Canon.Tbl.fold
+                (fun _ sub n -> n + Xsb.Machine.answer_count sub)
+                env.Xsb.Machine.tables 0
+            in
+            let bytes =
+              match Xsb.Engine.table_bytes_by_pred eng with
+              | [ (p, b) ] when p = pred -> b
+              | _ -> Alcotest.failf "%s: expected the tables of one predicate" goal
+            in
+            let per_answer = float_of_int bytes /. float_of_int answers in
+            if per_answer > bound then
+              Alcotest.failf "%s: %.0f table bytes per answer > %.0f" goal per_answer bound;
+            let live = Obj.reachable_words (Obj.repr env.Xsb.Machine.tables) * 8 in
+            let ratio = float_of_int live /. float_of_int bytes in
+            if ratio < 0.75 || ratio > 1.25 then
+              Alcotest.failf "%s: live table heap %d B vs accounted %d B (ratio %.2f)" goal live
+                bytes ratio)
+          [
+            ("path(1,X)", ("path", 2), nodes, 220.);
+            ("path(150,X)", ("path", 2), nodes, 220.);
+            ( "app(X,Y,[5,3,9,1,7,2,8,6,4,0,11,15,13,12,14,10])",
+              ("app", 3),
+              17,
+              3_200. );
+          ]);
   ]
 
 (* the --profile report parses a scrape of a registry other threads are

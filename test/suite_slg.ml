@@ -1033,3 +1033,142 @@ let consumer_lifecycle_cases =
   ]
 
 let suite = suite @ consumer_lifecycle_cases
+
+(* --- consumers are resumed in place: an answer binds the opened
+   snapshot on the trail, and the undo unbinds it on every exit. Each
+   case interrupts a consumer's continuation midway, then asks again in
+   the same session; every answer must match a fresh session's --- *)
+
+let sorted_rows s query =
+  List.sort compare (List.map (Fmt.str "%a" (Session.pp_solution s)) (Session.query s query))
+
+let matches_fresh ?mode ~scheduling program s queries =
+  List.iter
+    (fun query ->
+      let fresh = Session.create ?mode ~scheduling () in
+      Session.consult fresh program;
+      Alcotest.(check (list string)) query (sorted_rows fresh query) (sorted_rows s query))
+    queries
+
+let interrupted ?mode ~scheduling program =
+  let s = Session.create ?mode ~scheduling () in
+  Session.consult s program;
+  s
+
+let guarded_tc =
+  ":- table path/2.\n\
+   :- dynamic armed/1.\n\
+   path(X,Y) :- edge(X,Y).\n\
+   path(X,Y) :- path(X,Z), edge(Z,Y), guard(Y).\n\
+   guard(Y) :- armed(Y), !, throw(hit(Y)).\n\
+   guard(_).\n"
+  ^ Generators.edge_facts (cycle 9 @ [ (3, 1); (4, 8); (6, 2) ])
+  ^ "\n"
+
+let in_place_resumption_cases =
+  [
+    t "path(S,X) on a 300-node cycle with chords allocates a bounded number of words per answer"
+      `Quick (fun () ->
+        (* the cold-mix shape: every query derives a table of 300
+           answers from 900 edges. A consumer resumed in place binds its
+           opened snapshot instead of rebuilding it per answer, and an
+           answer is inserted as its substitution: about 565 minor words
+           per answer; rebuilding snapshots and inserting templates took
+           about 1,010 *)
+        let nodes = 300 in
+        let st = Random.State.make [| 29 |] in
+        let edges =
+          cycle nodes
+          @ List.init (2 * nodes) (fun _ ->
+                (1 + Random.State.int st nodes, 1 + Random.State.int st nodes))
+        in
+        let s = session (tc_program edges ^ "\n") in
+        let e = Session.engine s in
+        List.iter
+          (fun src ->
+            Engine.reset_tables e;
+            let goal = Parser.term_of_string (Printf.sprintf "path(%d,X)" src) in
+            let rows = ref 0 in
+            let before = Gc.minor_words () in
+            ignore (Engine.run_rows e goal (fun _ -> incr rows; true));
+            let words = (Gc.minor_words () -. before) /. float_of_int !rows in
+            check_int (Printf.sprintf "path(%d,X) rows" src) nodes !rows;
+            if words > 700. then
+              Alcotest.failf "path(%d,X): %.0f minor words per answer > 700" src words)
+          [ 1; 150; 299 ]);
+    t "in-place resumption: a throw caught outside the resumption" `Quick
+      (both_schedulings (fun scheduling ->
+           let s = interrupted ~scheduling (guarded_tc ^ "armed(4).\n") in
+           (* the ball leaves a nested evaluation's resumption and is
+              caught by catch/3 in the query *)
+           check_bool "caught inside the query" true
+             (Session.succeeds s "catch(findall(Y, path(1,Y), _), hit(Z), true), Z == 4");
+           (* here it leaves the query altogether *)
+           (match Session.query s "path(2,X)" with
+           | exception Machine.Prolog_ball _ -> ()
+           | _ -> Alcotest.fail "expected the ball to escape");
+           check_bool "disarm" true (Session.succeeds s "retract(armed(4))");
+           matches_fresh ~scheduling guarded_tc s [ "path(1,X)"; "path(2,X)"; "path(X,4)" ]));
+    t "in-place resumption: limit=1" `Quick
+      (both_schedulings (fun scheduling ->
+           let program = tc_program (cycle 12 @ [ (3, 7); (9, 2) ]) in
+           let s = interrupted ~scheduling program in
+           let e = Session.engine s in
+           List.iter
+             (fun goal ->
+               match Engine.run_bounded_string ~limit:1 e goal with
+               | `Truncated [ _ ] -> ()
+               | _ -> Alcotest.failf "%s: expected one row, truncated" goal)
+             [ "path(1,X)"; "path(4,X), path(X,Y)"; "path(X,Y)" ];
+           matches_fresh ~scheduling program s
+             [ "path(1,X)"; "path(4,X), path(X,Y)"; "path(X,Y)"; "path(X,3)" ]));
+    t "in-place resumption: an e_tnot early stop" `Quick
+      (both_schedulings (fun scheduling ->
+           let program =
+             ":- table reach/2.\n\
+              reach(X,Y) :- edge(X,Y).\n\
+              reach(X,Y) :- reach(X,Z), edge(Z,Y).\n\
+              edge(a,b). edge(b,c). edge(c,d). edge(d,a). edge(c,z). edge(d,e). edge(e,z).\n"
+           in
+           let s = interrupted ~scheduling program in
+           (* reach(a,z)'s first answer comes out of a resumption of its
+              consumer of reach(a,_), which the stop then interrupts *)
+           check_bool "e_tnot fails" false (Session.succeeds s "e_tnot(reach(a,z))");
+           check_bool "again" false (Session.succeeds s "e_tnot(reach(b,z))");
+           matches_fresh ~scheduling program s
+             [ "reach(a,X)"; "reach(a,z)"; "reach(b,X)"; "reach(X,z)" ]));
+    t "in-place resumption: a Touched_outer retry" `Quick
+      (both_schedulings (fun scheduling ->
+           (* t's consumer of t runs tnot(q); q's nested evaluation
+              resumes its consumer of r, whose continuation calls the
+              outer, incomplete t(_): the nested evaluation is abandoned
+              and q is evaluated again inside the outer one *)
+           let program =
+             ":- table t/1, q/0, r/1.\n\
+              t(1).\n\
+              t(X) :- t(Y), Y < 4, X is Y + 1, tnot(q).\n\
+              q :- r(X), X > 2, t(_).\n\
+              r(1).\n\
+              r(X) :- r(Y), Y < 4, X is Y + 1.\n"
+           in
+           let s = interrupted ~mode:Machine.Well_founded ~scheduling program in
+           Alcotest.(check (list string)) "t" [ "X = 1" ] (sorted_rows s "t(X)");
+           check_bool "q" true (Session.succeeds s "q");
+           matches_fresh ~mode:Machine.Well_founded ~scheduling program s
+             [ "t(X)"; "q"; "r(X)"; "t(X), r(X)" ]));
+    t "in-place resumption: a step budget that runs out" `Quick
+      (both_schedulings (fun scheduling ->
+           let program = tc_program (cycle 12 @ [ (3, 7); (9, 2) ]) in
+           let s = interrupted ~scheduling program in
+           let e = Session.engine s in
+           List.iter
+             (fun budget ->
+               match Engine.run_bounded_string ~max_steps:budget e "path(5,X), path(X,Y)" with
+               | `Timeout _ -> ()
+               | _ -> Alcotest.failf "budget %d: expected `Timeout" budget)
+             [ 40; 150; 600 ];
+           matches_fresh ~scheduling program s
+             [ "path(5,X), path(X,Y)"; "path(5,X)"; "path(X,Y)" ]));
+  ]
+
+let suite = suite @ in_place_resumption_cases
